@@ -64,7 +64,6 @@ from .groups import (
     LEVEL_MODULES,
     LEVEL_PROJECTIVES,
     Subgroup,
-    as_subgroup,
     cartan_map,
     char_label,
     cyclic_character,

@@ -11,12 +11,14 @@ assembled with synthetic_cover.
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .errors import (
     ConstantExtensionError,
     CoverValidationError,
     DomainError,
+    EpscharError,
     IncompleteDatumError,
     InvalidInputError,
     ReducibleCoverError,
@@ -27,8 +29,6 @@ from .groups import (
     AbelianGroup,
     Character,
     Subgroup,
-    _mod1,
-    as_subgroup,
     cyclic_character,
     intersection,
     joint,
@@ -207,9 +207,21 @@ class PlaceDatum:
     def f(self) -> int:
         return self.decomposition.order // self.inertia.order
 
-    @property
+    @cached_property
     def wild_subgroup(self) -> Subgroup:
         return sylow_p_subgroup(self.inertia, self.p)
+
+    @cached_property
+    def tame_generator(self):
+        """The element t of order e_t with tame_char(t) = 1/e_t, or None.
+
+        It generates the tame part of the inertia group; validation makes
+        sure that it exists.
+        """
+        one = Fraction(1, self.e_t) % 1
+        return next((t for t in self.inertia.elements()
+                     if self.inertia.element_order(t) == self.e_t
+                     and self.tame_char.value(t) == one), None)
 
     @property
     def is_wild(self) -> bool:
@@ -219,16 +231,11 @@ class PlaceDatum:
     def is_tame(self) -> bool:
         return self.e_w == 1
 
-    def tame_part_elements(self):
-        return tuple(g for g in self.inertia.elements() if self.inertia.element_order(g) % self.p != 0)
-
     def tame_index(self, chi: Character) -> int:
         """Index d in Z/e_t with tame_char^d = chi on the tame quotient."""
-        targets = [(t, chi.value(t)) for t in self.tame_part_elements()]
-        for d in range(self.e_t):
-            if all(_mod1(d * self.tame_char.value(t)) == v for t, v in targets):
-                return d
-        raise DomainError("character does not factor through the tame quotient pairing")
+        if self.tame_generator is None:
+            raise DomainError("the tame character is not faithful on the tame part of inertia")
+        return int(chi.value(self.tame_generator) * self.e_t)
 
     def ramification_kind(self, chi: Character) -> str:
         """How chi sees this place: 'unramified', 'tame' or 'wild'."""
@@ -312,9 +319,6 @@ class CoverDatum:
     def characters(self):
         return self.group.characters()
 
-    def tame_places(self):
-        return tuple(q for q in self.places if q.is_tame)
-
     def wild_places(self):
         return tuple(q for q in self.places if q.is_wild)
 
@@ -373,16 +377,15 @@ def validate_cover(cover: CoverDatum) -> None:
     labels = [q.label for q in cover.places]
     if len(set(labels)) != len(labels):
         raise CoverValidationError("labels-distinct", "duplicate place labels")
-    group_sub = as_subgroup(group)
     for q in cover.places:
         where = "place %s" % q.label
         if q.p != cover.p:
             raise CoverValidationError("prime", "%s carries a different prime" % where)
         if q.degree < 1:
             raise CoverValidationError("degree", "%s has nonpositive degree" % where)
-        if q.inertia.root != group_sub.root or q.decomposition.root != group_sub.root:
+        if q.inertia.root != group.root or q.decomposition.root != group.root:
             raise CoverValidationError("subgroup-root", "%s subgroups live in another group" % where)
-        if not q.inertia.is_subset_of(group_sub) or not q.decomposition.is_subset_of(group_sub):
+        if not q.inertia.is_subset_of(group) or not q.decomposition.is_subset_of(group):
             raise CoverValidationError("subgroup-containment", "%s subgroups exceed the cover group" % where)
         if not q.inertia.is_subset_of(q.decomposition):
             raise CoverValidationError(
@@ -729,9 +732,8 @@ def subcover_data(cover: CoverDatum, sub) -> CoverDatum:
         )
     if cover.r != 1:
         raise UnsupportedCoverError("subcover data is only implemented over constants F_p")
-    group_sub = as_subgroup(cover.group)
-    h = as_subgroup(sub) if not isinstance(sub, Subgroup) else sub
-    if h.root != group_sub.root or not h.is_subset_of(group_sub):
+    h = sub.full_subgroup()
+    if h.root != cover.group.root or not h.is_subset_of(cover.group):
         raise InvalidInputError("H is not a subgroup of the cover group")
 
     new_places = []
@@ -846,7 +848,7 @@ def cover_to_json(cover: CoverDatum) -> str:
         }
         if q.conductor_overrides:
             entry["conductors"] = sorted(
-                [list(chi.exponents(cover.group)), cd] for chi, cd in q.conductor_overrides.items()
+                [list(chi.vector), cd] for chi, cd in q.conductor_overrides.items()
             )
         places.append(entry)
     obj = {
@@ -907,8 +909,10 @@ def cover_from_json(text: str) -> CoverDatum:
                 places,
                 weakly_ramified=obj.get("weakly_ramified", True),
             )
+    except EpscharError:
+        raise
     except KeyError as exc:
         raise InvalidInputError("cover JSON is missing field %s" % exc) from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError("malformed cover JSON: %s" % exc) from None
     raise InvalidInputError("unknown cover kind %r" % (kind,))

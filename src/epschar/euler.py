@@ -24,7 +24,6 @@ from .groups import (
     LEVEL_PROJECTIVES,
     Character,
     K0Element,
-    _mod1,
     cartan_map,
     decomposition_map,
     induce,
@@ -218,12 +217,12 @@ def multiplicity_direct(cover: CoverDatum, D: DivisorSpec, chi: Character) -> Fr
         parts = lm_decompose(q, D.value(q))
         e = q.e_t
         xi = q.tame_char
-        targets = [(t, chi.value(t)) for t in q.inertia.elements()]
+        pairs = [(xi.value(t), chi.value(t)) for t in q.inertia.elements()]
         for j in range(q.degree):
             twist = pow(cover.p, j, e)
             solved = None
             for d in range(e):
-                if all(_mod1(d * twist * xi.value(t)) == v for t, v in targets):
+                if all(d * twist * x % 1 == v for x, v in pairs):
                     solved = d
                     break
             if solved is None:

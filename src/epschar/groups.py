@@ -1,12 +1,16 @@
 """Finite abelian groups, their characters, and the cde triangle.
 
-Groups come in two shapes sharing one informal protocol: AbelianGroup
-(a product of cyclic groups given by an invariant-factor chain, elements
-are exponent tuples) and Subgroup (a subset of a root AbelianGroup,
-closed under the root operations; subcovers and inertia subgroups live
-here).  Characters are stored as their full value table, a tuple of
-rationals modulo 1 aligned with the domain's canonical element order,
-so characters of a subgroup obtained by restriction compare canonically.
+Every group is a Subgroup: an element set with generators inside a root
+AbelianGroup, the product of cyclic groups Z/n_1 x ... x Z/n_k given by
+an invariant-factor chain, whose elements are exponent tuples.  The root
+is the Subgroup of all its own elements.  Subcovers and inertia groups
+are proper Subgroups of the root.
+
+A Character is its domain plus an exponent vector a over the root's
+invariant factors, chi(g) = sum a_i g_i / n_i mod 1.  Restriction keeps
+the vector and shrinks the domain, so on a proper subgroup several
+vectors give one character; characters compare by their values on a
+basis that depends only on the domain's element set.
 
 K0Element models virtual modules at one of three levels:
 
@@ -23,13 +27,19 @@ commuting triangle c = d o e; restrict and induce are exact-adjoint as
 Frobenius reciprocity demands, and all coefficients are Fractions.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import index, mul
 
-from .errors import DomainError, GroupMismatchError, InvalidInputError, LevelError
+from .errors import (
+    CapacityError,
+    DomainError,
+    GroupMismatchError,
+    InvalidInputError,
+    LevelError,
+)
 from .numutil import p_part
 
 LEVEL_CHAR0 = "char0"
@@ -37,152 +47,60 @@ LEVEL_MODULES = "modules"
 LEVEL_PROJECTIVES = "projectives"
 LEVELS = (LEVEL_CHAR0, LEVEL_MODULES, LEVEL_PROJECTIVES)
 
-
-def _mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
-
-
-@dataclass(frozen=True)
-class AbelianGroup:
-    """Product of Z/n_i with n_1 | n_2 | ... (trivial group: empty tuple)."""
-
-    invariant_factors: tuple
-
-    def __post_init__(self):
-        fs = tuple(int(n) for n in self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", fs)
-        for n in fs:
-            if n < 2:
-                raise InvalidInputError("invariant factors must be >= 2")
-        for a, b in zip(fs, fs[1:]):
-            if b % a != 0:
-                raise InvalidInputError(f"invariant factors must form a divisibility chain, got {fs}")
-
-    # -- group structure ------------------------------------------------
-
-    @property
-    def order(self) -> int:
-        n = 1
-        for f in self.invariant_factors:
-            n *= f
-        return n
-
-    @property
-    def identity(self):
-        return (0,) * len(self.invariant_factors)
-
-    @property
-    def root(self):
-        return self
-
-    def elements(self):
-        return _group_elements(self)
-
-    def element_index(self, g):
-        idx = _element_index(self)
-        if g not in idx:
-            raise DomainError(f"{g} is not an element of {self}")
-        return idx[g]
-
-    def mul(self, a, b):
-        return tuple((x + y) % n for x, y, n in zip(a, b, self.invariant_factors))
-
-    def inv(self, a):
-        return tuple((-x) % n for x, n in zip(a, self.invariant_factors))
-
-    def element_order(self, a) -> int:
-        return lcm(1, *(n // gcd(x, n) for x, n in zip(a, self.invariant_factors)))
-
-    def contains(self, g) -> bool:
-        return g in _element_index(self)
-
-    # -- characters -------------------------------------------------------
-
-    def characters(self):
-        return _group_characters(self)
-
-    def character(self, exponents) -> "Character":
-        """Character with chi(std generator i) = exp(2 pi i a_i / n_i)."""
-        if len(exponents) != len(self.invariant_factors):
-            raise DomainError("exponent tuple has wrong length")
-        values = []
-        for g in self.elements():
-            v = sum(Fraction(a * x, n) for a, x, n in
-                    zip(exponents, g, self.invariant_factors)) if g else Fraction(0)
-            values.append(_mod1(Fraction(v)))
-        return Character(self, tuple(values))
-
-    def trivial_character(self) -> "Character":
-        return Character(self, (Fraction(0),) * self.order)
-
-    def subgroup(self, generators) -> "Subgroup":
-        return Subgroup.generated(self, generators)
-
-    def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, frozenset(self.elements()))
-
-    def __repr__(self):
-        return f"AbelianGroup{self.invariant_factors}"
+# Largest supported group order.  verify-all on a synthetic cover of this
+# order with no places takes about 10 s for the slowest shape, (Z/2)^15;
+# larger groups are refused before their elements are enumerated.
+MAX_GROUP_ORDER = 2**15
 
 
-@lru_cache(maxsize=None)
-def _group_elements(group: AbelianGroup):
-    ranges = [range(n) for n in group.invariant_factors]
-    return tuple(product(*ranges)) if ranges else ((),)
-
-
-@lru_cache(maxsize=None)
-def _element_index(group: AbelianGroup):
-    return {g: i for i, g in enumerate(_group_elements(group))}
-
-
-@lru_cache(maxsize=None)
-def _group_characters(group: AbelianGroup):
-    out = []
-    ranges = [range(n) for n in group.invariant_factors]
-    for exps in (product(*ranges) if ranges else [()]):
-        out.append(group.character(exps))
-    return tuple(out)
+def _extend(root, have, g):
+    """Element set of the subgroup generated by the element set have and g."""
+    out = set(have)
+    step = g
+    while step not in have:
+        out.update(root.mul(h, step) for h in have)
+        step = root.mul(step, g)
+    return out
 
 
 class Subgroup:
     """A subgroup of a root AbelianGroup, stored as its element set."""
 
-    def __init__(self, root: AbelianGroup, elements: frozenset, generators=None):
+    def __init__(self, root, elements, generators=None):
         self.root = root
         self.element_set = frozenset(elements)
-        self._elements = tuple(sorted(self.element_set))
-        self._index = {g: i for i, g in enumerate(self._elements)}
-        self.generators = tuple(generators) if generators is not None else self._find_generators()
-        if root.identity not in self.element_set:
+        if self.identity not in self.element_set:
             raise DomainError("subgroup must contain the identity")
+        self._elements = tuple(sorted(self.element_set))
+        self._characters = None
+        self.generators = self.basis if generators is None else tuple(generators)
 
     @staticmethod
-    def generated(root: AbelianGroup, generators) -> "Subgroup":
+    def generated(root, generators) -> "Subgroup":
         gens = [tuple(g) for g in generators]
         for g in gens:
             if not root.contains(g):
                 raise DomainError(f"{g} is not an element of the root group")
-        seen = {root.identity}
-        frontier = [root.identity]
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                nxt = root.mul(cur, g)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return Subgroup(root, frozenset(seen), generators=gens)
+        have = {root.identity}
+        for g in gens:
+            have = _extend(root, have, g)
+        return Subgroup(root, have, generators=gens)
 
-    def _find_generators(self):
+    @cached_property
+    def basis(self):
+        """Generators picked greedily from the sorted elements.
+
+        They depend only on the element set, so equal subgroups share them
+        and character keys computed on them are comparable.
+        """
         gens = []
-        have = Subgroup.generated(self.root, [])
+        have = {self.identity}
         for g in self._elements:
-            if g not in have.element_set:
+            if len(have) == self.order:
+                break
+            if g not in have:
                 gens.append(g)
-                have = Subgroup.generated(self.root, gens)
-                if have.element_set == self.element_set:
-                    break
+                have = _extend(self.root, have, g)
         return tuple(gens)
 
     # -- group protocol ---------------------------------------------------
@@ -193,74 +111,107 @@ class Subgroup:
 
     @property
     def identity(self):
-        return self.root.identity
+        return (0,) * len(self.root.invariant_factors)
 
     def elements(self):
         return self._elements
 
-    def element_index(self, g):
-        if g not in self._index:
-            raise DomainError(f"{g} is not in this subgroup")
-        return self._index[g]
-
     def mul(self, a, b):
-        return self.root.mul(a, b)
+        return tuple((x + y) % n for x, y, n in zip(a, b, self.root.invariant_factors))
 
     def inv(self, a):
-        return self.root.inv(a)
+        return tuple((-x) % n for x, n in zip(a, self.root.invariant_factors))
 
     def element_order(self, a) -> int:
-        return self.root.element_order(a)
+        return lcm(1, *(n // gcd(x, n) for x, n in zip(a, self.root.invariant_factors)))
 
     def contains(self, g) -> bool:
         return g in self.element_set
 
     def is_subset_of(self, other) -> bool:
-        return self.element_set <= _element_set(other)
+        return self.element_set <= other.element_set
 
     def characters(self):
-        if not hasattr(self, "_characters"):
-            seen = {}
-            for chi in self.root.characters():
-                res = chi.restrict(self)
-                seen[res.values] = res
-            self._characters = tuple(seen[v] for v in sorted(seen))
+        """The |H| characters, in the order of their value tables."""
+        if self._characters is None:
+            # restrictions of the root characters, one per value table
+            dual = {}
+            for vector in self.root.elements():
+                dual.setdefault(self._key(vector), vector)
+            chars = [Character(self, vector) for vector in dual.values()]
+            self._characters = tuple(sorted(chars, key=lambda chi: chi.sort_key))
         return self._characters
 
     def trivial_character(self) -> "Character":
-        return Character(self, (Fraction(0),) * self.order)
+        return Character(self, self.identity)
 
     def subgroup(self, generators) -> "Subgroup":
         sub = Subgroup.generated(self.root, generators)
-        if not sub.element_set <= self.element_set:
+        if not sub.is_subset_of(self):
             raise DomainError("generators leave the subgroup")
         return sub
 
     def full_subgroup(self) -> "Subgroup":
-        return self
+        """This group as a Subgroup object; the root gets a fresh one."""
+        return Subgroup(self.root, self.element_set) if self is self.root else self
+
+    def _key(self, vector):
+        """Values, times the root exponent, of a character vector on the basis."""
+        return tuple(_numerator(self.root, vector, g) for g in self.basis)
 
     def __eq__(self, other):
-        if isinstance(other, Subgroup):
-            return self.root == other.root and self.element_set == other.element_set
-        if isinstance(other, AbelianGroup):
-            return self.root == other and len(self.element_set) == other.order
-        return NotImplemented
+        if not isinstance(other, Subgroup):
+            return NotImplemented
+        return self is other or (
+            self.root.invariant_factors == other.root.invariant_factors
+            and self.element_set == other.element_set
+        )
 
     def __hash__(self):
-        return hash((self.root, self.element_set))
+        return hash((self.root.invariant_factors, self.element_set))
 
     def __repr__(self):
+        if self is self.root:
+            return f"AbelianGroup{self.invariant_factors}"
         return f"Subgroup(order={self.order} of {self.root})"
 
 
-def _element_set(group):
-    if isinstance(group, Subgroup):
-        return group.element_set
-    return frozenset(group.elements())
+class AbelianGroup(Subgroup):
+    """Product of Z/n_i with n_1 | n_2 | ... (trivial group: empty tuple)."""
+
+    def __init__(self, invariant_factors):
+        fs = tuple(int(n) for n in invariant_factors)
+        for n in fs:
+            if n < 2:
+                raise InvalidInputError("invariant factors must be >= 2")
+        for a, b in zip(fs, fs[1:]):
+            if b % a != 0:
+                raise InvalidInputError(f"invariant factors must form a divisibility chain, got {fs}")
+        order = prod(fs)
+        if order > MAX_GROUP_ORDER:
+            raise CapacityError(
+                f"group of order {order} exceeds the supported order {MAX_GROUP_ORDER}"
+            )
+        self.invariant_factors = fs
+        self.exponent = fs[-1] if fs else 1
+        self._weights = tuple(self.exponent // n for n in fs)
+        super().__init__(self, product(*map(range, fs)))
+
+    def characters(self):
+        """All characters, in the order of their exponent vectors."""
+        if self._characters is None:
+            # exponent vectors range over the same tuples as the elements
+            self._characters = tuple(Character(self, vector) for vector in self.elements())
+        return self._characters
+
+    def character(self, exponents) -> "Character":
+        """Character with chi(std generator i) = exp(2 pi i a_i / n_i)."""
+        return Character(self, exponents)
 
 
-def as_subgroup(group) -> Subgroup:
-    return group if isinstance(group, Subgroup) else group.full_subgroup()
+def _numerator(root, vector, g) -> int:
+    """N chi(g) mod N for the character with this vector, N the root exponent."""
+    return sum(map(mul, map(mul, vector, root._weights), g)) % root.exponent
 
 
 def intersection(a: Subgroup, b: Subgroup) -> Subgroup:
@@ -277,10 +228,10 @@ def joint(a: Subgroup, b: Subgroup) -> Subgroup:
 
 
 def sylow_p_subgroup(group, p: int) -> Subgroup:
-    """Unique Sylow p-subgroup of an abelian group(-like)."""
+    """Unique Sylow p-subgroup of an abelian group."""
     members = [g for g in group.elements() if p_part(group.element_order(g), p)
                == group.element_order(g)]
-    return Subgroup(group.root if isinstance(group, Subgroup) else group, frozenset(members))
+    return Subgroup(group.root, members)
 
 
 def sylow_p_order(group, p: int) -> int:
@@ -291,49 +242,64 @@ def sylow_p_order(group, p: int) -> int:
 
 
 class Character:
-    """Character of a finite abelian group as its full value table."""
+    """Character of a finite abelian group as an exponent vector on its root."""
 
-    __slots__ = ("domain", "values", "_hash")
+    __slots__ = ("domain", "vector", "_key", "_hash")
 
-    def __init__(self, domain, values):
+    def __init__(self, domain, vector):
+        factors = domain.root.invariant_factors
+        if len(vector) != len(factors):
+            raise DomainError("exponent vector has wrong length")
         self.domain = domain
-        self.values = tuple(_mod1(Fraction(v)) for v in values)
-        if len(self.values) != domain.order:
-            raise DomainError("value table length differs from group order")
-        self._hash = hash((domain, self.values))
+        self.vector = tuple(index(a) % n for a, n in zip(vector, factors))
+        self._key = domain._key(self.vector)
+        self._hash = hash((domain, self._key))
 
     def value(self, g) -> Fraction:
-        return self.values[self.domain.element_index(g)]
+        if not self.domain.contains(g):
+            raise DomainError(f"{g} is not in the domain of the character")
+        root = self.domain.root
+        return Fraction(_numerator(root, self.vector, g), root.exponent)
+
+    @property
+    def values(self):
+        """Value table aligned with the domain's sorted elements."""
+        return tuple(self.value(g) for g in self.domain.elements())
+
+    @property
+    def sort_key(self):
+        """Orders characters like their value tables, without Fractions."""
+        root = self.domain.root
+        return tuple(_numerator(root, self.vector, g) for g in self.domain.elements())
 
     @property
     def order(self) -> int:
-        return lcm(1, *(v.denominator for v in self.values))
+        n = self.domain.root.exponent
+        return n // gcd(n, *self._key)
 
     @property
     def is_trivial(self) -> bool:
-        return all(v == 0 for v in self.values)
+        return not any(self._key)
 
     def __mul__(self, other):
         if self.domain != other.domain:
             raise GroupMismatchError("characters of different groups")
-        return Character(self.domain, tuple(a + b for a, b in zip(self.values, other.values)))
+        return Character(self.domain, tuple(a + b for a, b in zip(self.vector, other.vector)))
 
     def __pow__(self, n: int):
-        return Character(self.domain, tuple(n * v for v in self.values))
+        return Character(self.domain, tuple(n * a for a in self.vector))
 
     def inverse(self):
         return self**-1
 
     def restrict(self, sub) -> "Character":
-        vals = []
-        for g in sub.elements():
-            vals.append(self.values[self.domain.element_index(g)])
-        return Character(sub, tuple(vals))
+        if not sub.is_subset_of(self.domain):
+            raise DomainError("can only restrict to a subgroup of the domain")
+        return Character(sub, self.vector)
 
-    def trivial_on(self, group_or_elements) -> bool:
-        elems = group_or_elements.elements() if hasattr(group_or_elements, "elements") \
-            else group_or_elements
-        return all(self.value(g) == 0 for g in elems)
+    def trivial_on(self, group) -> bool:
+        root = self.domain.root
+        return all(_numerator(root, self.vector, g) == 0 for g in group.generators)
 
     def prime_to_p_part(self, p: int) -> "Character":
         n = self.order
@@ -348,19 +314,9 @@ class Character:
     def has_prime_to_p_order(self, p: int) -> bool:
         return self.order % p != 0
 
-    def exponents(self, group: "AbelianGroup"):
-        """Exponent tuple over the standard generators of an AbelianGroup."""
-        if self.domain != group or not isinstance(group, AbelianGroup):
-            raise GroupMismatchError("exponents need the character's own AbelianGroup")
-        exps = []
-        for i, n in enumerate(group.invariant_factors):
-            gen = tuple(1 if j == i else 0 for j in range(len(group.invariant_factors)))
-            exps.append(int(self.value(gen) * n))
-        return tuple(exps)
-
     def __eq__(self, other):
-        return isinstance(other, Character) and self.domain == other.domain \
-            and self.values == other.values
+        return isinstance(other, Character) and self._key == other._key \
+            and self.domain == other.domain
 
     def __hash__(self):
         return self._hash
@@ -368,33 +324,21 @@ class Character:
     def __repr__(self):
         return f"Character({char_label(self)})"
 
-    def sort_key(self):
-        return self.values
-
 
 def cyclic_character(sub: Subgroup, generator, k: int) -> Character:
     """Character of a cyclic subgroup sending generator^j to exp(2 pi i jk/e)."""
     e = sub.order
-    powers = {}
-    cur = sub.identity
-    for j in range(e):
-        powers[cur] = j
-        cur = sub.mul(cur, generator)
-    if len(powers) != e or cur != sub.identity:
+    if not sub.contains(generator) or sub.element_order(generator) != e:
         raise DomainError("generator does not generate the subgroup")
-    values = [Fraction((powers[g] * k) % e, e) for g in sub.elements()]
-    return Character(sub, tuple(values))
+    target = Fraction(k % e, e)
+    return next(chi for chi in sub.characters() if chi.value(generator) == target)
 
 
 def char_label(chi: Character) -> str:
-    """Deterministic short label; exponent form over a plain AbelianGroup."""
+    """Deterministic short label; exponent form over a root group."""
     dom = chi.domain
-    if isinstance(dom, AbelianGroup):
-        exps = []
-        for i, n in enumerate(dom.invariant_factors):
-            gen = tuple(1 if j == i else 0 for j in range(len(dom.invariant_factors)))
-            exps.append(int(chi.value(gen) * n))
-        return "chi(" + ",".join(str(e) for e in exps) + ")"
+    if dom is dom.root:
+        return "chi(" + ",".join(str(a) for a in chi.vector) + ")"
     parts = [f"{chi.value(g)}" for g in dom.generators]
     return "chi{" + ",".join(parts) + "}"
 
@@ -492,16 +436,16 @@ class K0Element:
                      frozenset(self.coeffs.items())))
 
     def __repr__(self):
-        terms = ", ".join(f"{c}*{char_label(chi)}"
-                          for chi, c in sorted(self.coeffs.items(),
-                                               key=lambda kv: kv[0].sort_key()))
+        terms = ", ".join(f"{c}*{char_label(chi)}" for chi, c in self.sorted_items())
         return f"K0[{self.level}]({terms or '0'})"
 
     def sorted_items(self):
-        return sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key())
+        return sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key)
 
 
-@lru_cache(maxsize=None)
+# A root and its full subgroup are equal groups, but their characters are
+# labeled and ordered differently; typed caches keep the two apart.
+@lru_cache(maxsize=None, typed=True)
 def _modular_basis_cached(group, p):
     return tuple(chi for chi in group.characters() if chi.has_prime_to_p_order(p))
 
@@ -549,7 +493,7 @@ def e_map(x: K0Element) -> K0Element:
     return K0Element(x.group, LEVEL_CHAR0, out, x.p)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _e_fibers(group, p):
     fibers = {theta: [] for theta in modular_basis(group, p)}
     for chi in group.characters():
@@ -575,11 +519,11 @@ def restrict(x: K0Element, sub) -> K0Element:
     """Restriction along H <= G at char0 or modules level."""
     if x.level == LEVEL_PROJECTIVES:
         raise LevelError("restrict is defined at char0 and modules levels")
-    if sub.root != x.group.root or not _element_set(sub) <= _element_set(x.group):
+    if sub.root != x.group.root or not sub.is_subset_of(x.group):
         raise GroupMismatchError("can only restrict to a subgroup")
     out = {}
     for chi, c in x.coeffs.items():
-        res = chi.restrict(sub)
+        res = Character(sub, chi.vector)
         out[res] = out.get(res, Fraction(0)) + c
     return K0Element(sub, x.level, out, x.p)
 
@@ -594,16 +538,17 @@ def induce(x: K0Element, group) -> K0Element:
         raise LevelError("induce is defined at char0 and projectives levels")
     sub = x.group
     # element tuples of unrelated groups can collide, so compare roots too
-    if sub.root != group.root or not as_subgroup(sub).element_set <= _element_set(group):
+    if sub.root != group.root or not sub.is_subset_of(group):
         raise GroupMismatchError("can only induce from a subgroup")
     if x.level == LEVEL_CHAR0:
         basis = group.characters()
     else:
         basis = modular_basis(group, x.p)
+    # a character of G restricts to theta when their keys on H agree
+    by_key = {theta._key: c for theta, c in x.coeffs.items()}
     out = {}
     for chi in basis:
-        res = chi.restrict(sub)
-        c = x.coeffs.get(res)
+        c = by_key.get(sub._key(chi.vector))
         if c:
-            out[chi] = out.get(chi, Fraction(0)) + c
+            out[chi] = c
     return K0Element(group, x.level, out, x.p)

@@ -26,7 +26,6 @@ from fractions import Fraction
 
 from .errors import IncompleteDatumError, NotWeaklyRamifiedError
 from .groups import (
-    Character,
     K0Element,
     LEVEL_CHAR0,
     char_label,
@@ -316,14 +315,13 @@ def _regenerated_subgroup(group, sub):
 
 def _regenerated_place(group, q: PlaceDatum) -> PlaceDatum:
     inertia = _regenerated_subgroup(group, q.inertia)
-    xi = Character(inertia, tuple(q.tame_char.value(g) for g in inertia.elements()))
     return PlaceDatum(
         label=q.label,
         p=q.p,
         degree=q.degree,
         inertia=inertia,
         decomposition=_regenerated_subgroup(group, q.decomposition),
-        tame_char=xi,
+        tame_char=q.tame_char.restrict(inertia),
         conductor_overrides=q.conductor_overrides,
     )
 

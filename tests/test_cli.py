@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -153,6 +154,29 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 3 and "unsupported datum" in err
 
     code, _, err = run(capsys, "epsilon", "--builtin", "kummer:p=5,n=2,f=x^2")
+    assert code == 3 and "unsupported datum" in err
+
+
+def test_cover_json_exit_codes_match_the_dsl(tmp_path, capsys):
+    # the same unsupported Kummer datum exits 3 from JSON as from the DSL
+    path = tmp_path / "kummer.json"
+    path.write_text('{"kind":"kummer","p":5,"n":3,"divisor":[[[0,1],1]]}')
+    code, _, err = run(capsys, "epsilon", "--input", str(path))
+    assert code == 3 and "unsupported datum" in err
+    # a zero denominator in a stored character value is malformed input
+    place = {"label": "q", "degree": 2, "inertia": [[3]], "decomposition": [[3]],
+             "tame_char": [[[3], [1, 0]]]}
+    path.write_text(json.dumps({"kind": "synthetic", "group": [6], "p": 5, "places": [place]}))
+    code, _, err = run(capsys, "epsilon", "--input", str(path))
+    assert code == 2 and "input error" in err
+
+
+def test_oversized_group_is_refused_fast(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"kind":"synthetic","group":[2000,2000],"p":5,"places":[]}')
+    start = time.perf_counter()
+    code, _, err = run(capsys, "verify-all", "--input", str(path))
+    assert time.perf_counter() - start < 1.0
     assert code == 3 and "unsupported datum" in err
 
 

@@ -362,6 +362,13 @@ def test_json_round_trip():
     ]
     rng = random.Random(9)
     covers += [random_weakly_ramified_cover(rng) for _ in range(5)]
+    group = AbelianGroup((3, 3))
+    wild = group.subgroup([(0, 1)])
+    chi = group.character((1, 2))
+    overrides = {chi: 3, chi**2: 4}
+    q = dict(label="w", degree=2, inertia=wild, decomposition=wild,
+             tame_char=wild.trivial_character(), conductor_overrides=overrides)
+    covers.append(synthetic_cover(group, 3, 1, 0, [q], weakly_ramified=False))
     for cov in covers:
         text = cover_to_json(cov)
         back = cover_from_json(text)
@@ -373,6 +380,7 @@ def test_json_round_trip():
                         sorted(back.places, key=lambda q: q.label)):
             assert (a.label, a.degree, a.e, a.f) == (b.label, b.degree, b.e, b.f)
             assert a.tame_char.values == b.tame_char.values
+            assert a.conductor_overrides == b.conductor_overrides
 
 
 def test_json_rejects_malformed():

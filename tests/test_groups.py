@@ -3,14 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from epschar.errors import DomainError, GroupMismatchError, InvalidInputError, LevelError
+from epschar.errors import (
+    CapacityError,
+    DomainError,
+    GroupMismatchError,
+    InvalidInputError,
+    LevelError,
+)
 from epschar.groups import (
     LEVEL_CHAR0,
     LEVEL_MODULES,
     LEVEL_PROJECTIVES,
     AbelianGroup,
     K0Element,
-    as_subgroup,
     cartan_map,
     char_label,
     cyclic_character,
@@ -45,6 +50,8 @@ def test_group_validation():
         AbelianGroup((3, 2))  # not a divisibility chain
     with pytest.raises(InvalidInputError):
         AbelianGroup((1, 2))
+    with pytest.raises(CapacityError):
+        AbelianGroup((2000, 2000))
 
 
 def test_trivial_group():
@@ -68,7 +75,7 @@ def test_character_exponents_round_trip():
     for a in range(2):
         for b in range(4):
             chi = g.character((a, b))
-            assert chi.exponents(g) == (a, b)
+            assert chi.vector == (a, b)
 
 
 def test_character_ops():
@@ -268,8 +275,14 @@ def test_restriction_is_transitive():
         assert chi.restrict(low) == chi.restrict(mid).restrict(low)
 
 
-def test_as_subgroup():
+def test_root_and_full_subgroup_are_one_group():
     g = AbelianGroup((6,))
-    full = as_subgroup(g)
-    assert full.order == 6 and full == g
-    assert as_subgroup(full) is full
+    full = g.full_subgroup()
+    assert full.order == 6 and full == g and hash(full) == hash(g)
+    assert full.full_subgroup() is full
+    # a character restricted to the full subgroup is the same basis element
+    chi = g.character((1,))
+    x = K0Element(g, LEVEL_CHAR0, {chi.restrict(full): 1})
+    assert x.coefficient(chi) == 1
+    total = x + K0Element.of_character(chi)
+    assert len(total.coeffs) == 1 and total.coefficient(chi) == 2

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from epschar.corpus import restriction_chain_covers
+from epschar import verify
+from epschar.corpus import constructed_corpus, restriction_chain_covers
 from epschar.covers import artin_schreier_cover, kummer_cover, synthetic_cover
 from epschar.errors import IntegralityError, NotWeaklyRamifiedError
 from epschar.groups import AbelianGroup, char_label, cyclic_character
@@ -192,3 +193,58 @@ def test_report_serialization_and_describe():
     )
     assert "skip" in skipped.describe() and skipped.passed
     assert skipped.to_json_obj()["rows"][0]["rhs"] is None
+
+
+# -- each gating flag can fail ----------------------------------------------
+
+
+def test_strong_flag_fails_on_a_perturbed_euler_side(monkeypatch):
+    cov = kummer_cover(5, 4, [((0, 1), 2), ((3, 1), 1)])
+    assert check_strong(cov).flags["strong_ok"] is True
+    closed = verify.multiplicity_closed
+
+    def bumped(cover, divisor, chi):
+        return closed(cover, divisor, chi) + (0 if chi.is_trivial else 1)
+
+    monkeypatch.setattr(verify, "multiplicity_closed", bumped)
+    rep = check_strong(cov)
+    assert rep.flags["strong_ok"] is False and not rep.passed
+
+
+def test_weak_flag_fails_on_a_scaled_structure_side(monkeypatch):
+    cov = kummer_cover(5, 4, [((0, 1), 2), ((3, 1), 1)])
+    assert check_weak(cov).flags["weak_ok"] is True
+    structure = verify.euler_char_structure_sheaf
+    monkeypatch.setattr(verify, "euler_char_structure_sheaf", lambda c: structure(c).scale(2))
+    rep = check_weak(cov)
+    assert rep.flags["weak_ok"] is False and not rep.passed
+
+
+def test_restriction_flag_fails_on_a_perturbed_subcover(monkeypatch):
+    covers = constructed_corpus()
+    subcover = verify.subcover_data
+
+    def bumped(cover, sub):
+        quotient = subcover(cover, sub)
+        quotient.g_base += 1
+        return quotient
+
+    monkeypatch.setattr(verify, "subcover_data", bumped)
+    for cov in covers:
+        rep = check_restriction(cov, cov.group.full_subgroup())
+        assert rep.flags["restriction_ok"] is False, cov.summary()
+
+
+def test_invariance_flag_fails_on_a_perturbed_variant(monkeypatch):
+    cov = kummer_cover(5, 4, [((0, 1), 2), ((3, 1), 1)])
+    variants = verify._invariance_variants
+
+    def with_perturbed(cover):
+        bad = verify._with_places(cover, cover.places)
+        bad.g_base += 1
+        return variants(cover) + [("perturbed", bad)]
+
+    monkeypatch.setattr(verify, "_invariance_variants", with_perturbed)
+    rep = check_invariance(cov)
+    assert rep.flags["invariance_ok"] is False and not rep.passed
+    assert [row.passed for row in rep.rows] == [True, True, False]
