@@ -452,10 +452,11 @@ def _cmd_verify_all(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    synthetic = synthetic_corpus(args.count, seed=args.seed)  # refuses a huge count first
     covers = [("kummer", c) for c in kummer_corpus()]
     covers += [("artin-schreier", c) for c in artin_schreier_corpus()]
     covers.append(("mixed", mixed_synthetic_example()))
-    covers += [("synthetic", c) for c in synthetic_corpus(args.count, seed=args.seed)]
+    covers += [("synthetic", c) for c in synthetic]
     lines = []
     entries = []
     for i, (family, cover) in enumerate(covers):

@@ -8,9 +8,14 @@ from .covers import (
     random_weakly_ramified_cover,
     synthetic_cover,
 )
+from .errors import CapacityError
 from .groups import AbelianGroup
 
 X = (0, 1)
+
+# Largest synthetic corpus built on request: drawing a cover takes about
+# 0.5 ms, so 10**4 covers take 3-5 s, and `corpus --count` 6-8 s.
+MAX_SYNTHETIC_COUNT = 10**4
 
 
 def _lin(p, a):
@@ -94,6 +99,10 @@ def mixed_synthetic_example():
 
 def synthetic_corpus(count, seed=0):
     """Random weakly ramified synthetic data; deterministic in the seed."""
+    if count > MAX_SYNTHETIC_COUNT:
+        raise CapacityError(
+            f"synthetic corpus of {count} covers exceeds the supported "
+            f"{MAX_SYNTHETIC_COUNT} (index < {MAX_SYNTHETIC_COUNT})")
     rng = random.Random(seed)
     return [random_weakly_ramified_cover(rng) for _ in range(count)]
 

@@ -154,7 +154,12 @@ def psi_structure(cover: CoverDatum, D: DivisorSpec = None) -> K0Element:
         D = DivisorSpec.wild_canonical(cover)
     group = cover.group
     p = cover.p
-    acc = K0Element.zero(group, LEVEL_PROJECTIVES, p=p)
+    coeffs = {}
+
+    def add(x: K0Element, c):
+        for chi, v in x.coeffs.items():
+            coeffs[chi] = coeffs.get(chi, 0) + c * v
+
     for q in cover.places:
         parts = lm_decompose(q, D.value(q))
         if q.e_t == 1:
@@ -174,10 +179,11 @@ def psi_structure(cover: CoverDatum, D: DivisorSpec = None) -> K0Element:
             twist = pow(p, j, e)
             xi_j = xi**twist
             for d in range(1, e):
-                acc = acc + ind_cov(xi_j**d).scale(Fraction(-d, e))
+                add(ind_cov(xi_j**d), Fraction(-d, e))
             for d in range(1, parts.l + 1):
-                acc = acc + ind_cov(xi_j**-d)
-    acc = acc + K0Element.regular(group, LEVEL_PROJECTIVES, p=p).scale(_base_term(cover, D))
+                add(ind_cov(xi_j**-d), 1)
+    add(K0Element.regular(group, LEVEL_PROJECTIVES, p=p), _base_term(cover, D))
+    acc = K0Element(group, LEVEL_PROJECTIVES, coeffs, p=p)
     if not acc.is_integral():
         raise IntegralityError("structure element has non-integral coefficients: %r" % acc)
     return acc
@@ -217,12 +223,14 @@ def multiplicity_direct(cover: CoverDatum, D: DivisorSpec, chi: Character) -> Fr
         parts = lm_decompose(q, D.value(q))
         e = q.e_t
         xi = q.tame_char
-        pairs = [(xi.value(t), chi.value(t)) for t in q.inertia.elements()]
+        # values as integer numerators mod the root exponent n
+        n = q.inertia.root.exponent
+        pairs = [(xi.numerator(t), chi.numerator(t)) for t in q.inertia.elements()]
         for j in range(q.degree):
             twist = pow(cover.p, j, e)
             solved = None
             for d in range(e):
-                if all(d * twist * x % 1 == v for x, v in pairs):
+                if all((d * twist * x - v) % n == 0 for x, v in pairs):
                     solved = d
                     break
             if solved is None:

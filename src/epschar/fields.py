@@ -13,7 +13,7 @@ Intended for desk-scale fields (q <= 10**6), not for cryptography.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import CapacityError, DomainError, InvalidInputError
 from .numutil import factorize, is_prime
@@ -196,9 +196,6 @@ class FieldContext:
     def elements(self):
         return [self.element_from_int(e) for e in range(self.q)]
 
-    def nonzero_elements(self):
-        return [self.element_from_int(e) for e in range(1, self.q)]
-
     def check(self, x: FqElem):
         if len(x) != self.r or any(not (0 <= c < self.p) for c in x):
             raise DomainError(f"{x} is not a reduced element of F_{self.q}")
@@ -210,9 +207,6 @@ class FieldContext:
 
     def sub(self, a, b):
         return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
 
     def mul(self, a, b):
         return self._reduce_int_poly(poly_mul(list(a), list(b), self.p))
@@ -237,9 +231,6 @@ class FieldContext:
             raise DomainError("zero is not invertible")
         return self.exp((-self.dlog(a)) % (self.q - 1))
 
-    def scalar_mul(self, c, a):
-        return tuple((c * x) % self.p for x in a)
-
     # -- the two operations everything downstream leans on -------------
 
     def trace(self, x: FqElem) -> int:
@@ -253,6 +244,17 @@ class FieldContext:
         if any(acc[1:]):
             raise AssertionError("trace left the prime field")
         return acc[0]
+
+    @cached_property
+    def trace_by_log(self) -> tuple:
+        """Entry k is Tr(g^k) for the canonical generator g, k < q - 1.
+
+        The trace is F_p-linear, so Tr(x) is the dot product of the
+        coefficients of x with the traces of the basis monomials x^i.
+        """
+        p = self.p
+        basis = [self.trace(self._reduce_int_poly([0] * i + [1])) for i in range(self.r)]
+        return tuple(sum(a * t for a, t in zip(x, basis)) % p for x in self._exp)
 
     def dlog(self, x: FqElem) -> int:
         """Discrete log base the canonical generator; x = 0 is an error."""

@@ -255,11 +255,14 @@ class Character:
         self._key = domain._key(self.vector)
         self._hash = hash((domain, self._key))
 
-    def value(self, g) -> Fraction:
+    def numerator(self, g) -> int:
+        """N chi(g), an integer mod the root exponent N."""
         if not self.domain.contains(g):
             raise DomainError(f"{g} is not in the domain of the character")
-        root = self.domain.root
-        return Fraction(_numerator(root, self.vector, g), root.exponent)
+        return _numerator(self.domain.root, self.vector, g)
+
+    def value(self, g) -> Fraction:
+        return Fraction(self.numerator(g), self.domain.root.exponent)
 
     @property
     def values(self):

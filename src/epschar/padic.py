@@ -15,10 +15,13 @@ Two layers:
   j + k(p-1) in units of 1/(p-1), so the valuation of an element is
   read slotwise without cancellation.
 
-padic_gauss_valuation sums the Gauss sum termwise in the ramified ring
+padic_gauss_valuation sums the Gauss sum in the ramified ring
 (multiplicative part through Teichmueller powers, additive part through
-zeta_p = 1 + lambda) and reads off the lambda-adic valuation.  It shares
-no formula with the Stickelberger digit count, which is the point.
+zeta_p = 1 + lambda, terms grouped by their trace) and reads off the
+lambda-adic valuation.  It shares no formula with the Stickelberger
+digit count, which is the point.  Results are memoized on the exact
+key (field, c mod q-1, lambda precision); c is never replaced by
+another member of its Frobenius orbit.
 """
 
 from dataclasses import dataclass
@@ -108,10 +111,6 @@ class WittApprox:
     def __mul__(self, other):
         return self.ring.mul(self, other)
 
-    def reduces_to(self, x) -> bool:
-        """Does this approximation reduce mod p to the field element x?"""
-        return tuple(c % self.ring.ctx.p for c in self.coeffs) == tuple(x)
-
 
 def teichmuller(ctx: FieldContext, x, precision: int) -> WittApprox:
     """The Teichmueller representative of x in Z_q at precision p^M.
@@ -192,9 +191,6 @@ class RamifiedRing:
             n >>= 1
         return result
 
-    def witt_scale(self, w: WittApprox, a):
-        return RamifiedElem(self, tuple(w * c for c in a.coeffs))
-
     def lambda_valuation(self, a) -> int:
         """Valuation in units of 1/(p-1); capped at (p-1) * M."""
         best = self.deg * self.witt.precision
@@ -229,26 +225,28 @@ def default_lambda_precision(ctx: FieldContext) -> int:
 
 @lru_cache(maxsize=None)
 def _gauss_tables(ctx: FieldContext, precision: int):
-    """Per-field tables: Teichmueller powers, (1+lambda)^t rows, traces."""
+    """Per-field tables: Teichmueller powers, (1+lambda)^t slot constants,
+    and the exponents k < q-1 grouped by the trace of g^k."""
     ring = WittRing(ctx, precision)
     ram = RamifiedRing(ring)
-    q = ctx.q
     omega = teichmuller(ctx, ctx.generator, precision)
     teich_pow = [ring.one]
-    for _ in range(q - 2):
+    for _ in range(ctx.q - 2):
         teich_pow.append(teich_pow[-1] * omega)
+    # (1+lambda)^t has plain-integer Witt coordinates (binomials pushed
+    # through the Eisenstein relation): one integer per lambda slot
     zeta_p = ram.one + ram.lam
-    lam_rows = []
+    consts = []
     acc = ram.one
     for _ in range(ctx.p):
-        lam_rows.append(acc)
+        if any(any(cw.coeffs[1:]) for cw in acc.coeffs):
+            raise AssertionError("(1+lambda)^t acquired a non-constant coordinate")
+        consts.append(tuple(cw.coeffs[0] for cw in acc.coeffs))
         acc = acc * zeta_p
-    traces = []
-    x = ctx.one
-    for _ in range(q - 1):
-        traces.append(ctx.trace(x))
-        x = ctx.mul(x, ctx.generator)
-    return ram, teich_pow, lam_rows, traces
+    by_trace = [[] for _ in range(ctx.p)]
+    for k, t in enumerate(ctx.trace_by_log):
+        by_trace[t].append(k)
+    return ram, tuple(t.coeffs for t in teich_pow), tuple(consts), tuple(map(tuple, by_trace))
 
 
 def padic_gauss_valuation(ctx: FieldContext, chi, lambda_precision: int = None) -> Fraction:
@@ -259,44 +257,35 @@ def padic_gauss_valuation(ctx: FieldContext, chi, lambda_precision: int = None) 
     Fraction with denominator dividing p-1.  Raises PrecisionError if
     the requested precision cannot resolve the answer.
     """
-    p, q, r = ctx.p, ctx.q, ctx.r
-    floor_n = r * (p - 1) + 1
+    floor_n = ctx.r * (ctx.p - 1) + 1
     if lambda_precision is None:
         lambda_precision = floor_n + 1
     if lambda_precision < floor_n:
         raise PrecisionError(
             f"lambda precision {lambda_precision} is below the floor {floor_n}")
-    witt_precision = lambda_precision // (p - 1) + 2
-    ram, teich_pow, lam_rows, traces = _gauss_tables(ctx, witt_precision)
-    w = ram.witt
-    c = int(getattr(chi, "index", chi)) % (q - 1) if q > 2 else 0
+    c = int(getattr(chi, "index", chi)) % (ctx.q - 1)
+    return _gauss_valuation(ctx, c, lambda_precision)
 
-    # tau = sum_k omega^(-c k) (1 + lambda)^(trace g^k).  The (1+lambda)
-    # power table has plain-integer Witt coordinates (binomials pushed
-    # through the Eisenstein relation), so each term is an integer
-    # rescaling of a Teichmueller power per lambda slot; exactness is
-    # unaffected, mod p^M happens once at the end.
-    consts = []
-    for row in lam_rows:
-        slot_consts = []
-        for cw in row.coeffs:
-            if any(cw.coeffs[1:]):
-                raise AssertionError("(1+lambda)^t acquired a non-constant coordinate")
-            slot_consts.append(cw.coeffs[0])
-        consts.append(slot_consts)
+
+@lru_cache(maxsize=None)
+def _gauss_valuation(ctx: FieldContext, c: int, lambda_precision: int) -> Fraction:
+    """padic_gauss_valuation memoized on its exact key; errors are not cached."""
+    p, n = ctx.p, ctx.q - 1
+    ram, teich_pow, consts, by_trace = _gauss_tables(ctx, lambda_precision // (p - 1) + 2)
+    w = ram.witt
+    # tau = sum_k omega^(-c k) (1 + lambda)^(trace g^k).  Sum the
+    # Teichmueller powers in one bucket per trace value t, then scale each
+    # bucket by the slot constants of (1 + lambda)^t.  Integer sums are
+    # exact; mod p^M happens once at the end.
     acc = [[0] * w.r for _ in range(ram.deg)]
-    for k in range(q - 1):
-        tw = teich_pow[(-c * k) % (q - 1)] if q > 2 else w.one
-        row = consts[traces[k]]
-        for slot in range(ram.deg):
-            const = row[slot]
+    for t, ks in enumerate(by_trace):
+        if not ks:  # trace 0 over a prime field: only 0 has it
+            continue
+        bucket = [sum(col) for col in zip(*[teich_pow[(-c * k) % n] for k in ks])]
+        for slot, const in enumerate(consts[t]):
             if const:
-                arow = acc[slot]
-                twc = tw.coeffs
-                for a in range(w.r):
-                    arow[a] += const * twc[a]
-    elem = ram.element([w.element(arow) for arow in acc])
-    val = ram.lambda_valuation(elem)
+                acc[slot] = [a + const * b for a, b in zip(acc[slot], bucket)]
+    val = ram.lambda_valuation(ram.element([w.element(row) for row in acc]))
     if val >= lambda_precision:
         raise PrecisionError(
             f"valuation not resolved at lambda precision {lambda_precision}; "

@@ -23,6 +23,7 @@ The four checks:
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .errors import IncompleteDatumError, NotWeaklyRamifiedError
 from .groups import (
@@ -407,11 +408,20 @@ def check_invariance(
 
 def _cyclic_subgroups(group):
     """All subgroups generated by one element, smallest first."""
-    seen = {}
+    subs = []
+    covered = set()  # generators of the subgroups found so far
     for g in group.elements():
+        if g in covered:
+            continue
         sub = group.subgroup([g])
-        seen.setdefault(frozenset(sub.element_set), sub)
-    return sorted(seen.values(), key=lambda s: (s.order, sorted(s.element_set)))
+        subs.append(sub)
+        # g^k generates the same subgroup exactly when gcd(k, |g|) = 1
+        h = group.identity
+        for k in range(1, sub.order + 1):
+            h = group.mul(h, g)
+            if gcd(k, sub.order) == 1:
+                covered.add(h)
+    return sorted(subs, key=lambda s: (s.order, s.elements()))
 
 
 def full_verification(

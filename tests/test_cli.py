@@ -180,6 +180,15 @@ def test_oversized_group_is_refused_fast(tmp_path, capsys):
     assert code == 3 and "unsupported datum" in err
 
 
+def test_huge_synthetic_index_and_count_are_refused_fast(capsys):
+    for args in (["epsilon", "--builtin", "synthetic:seed=0,index=%d" % 10**9],
+                 ["corpus", "--count", str(10**9)]):
+        start = time.perf_counter()
+        code, _, err = run(capsys, *args)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and "unsupported datum" in err
+
+
 def test_integrality_failure_exits_one(tmp_path, capsys):
     group = AbelianGroup((8,))
     full = group.full_subgroup()

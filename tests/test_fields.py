@@ -55,7 +55,7 @@ def test_field_axioms_random():
             a, b, c = (rng.choice(els) for _ in range(3))
             assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
             assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
-            assert ctx.add(a, ctx.neg(a)) == ctx.zero
+            assert ctx.add(a, ctx.sub(ctx.zero, a)) == ctx.zero
             if a != ctx.zero:
                 assert ctx.mul(a, ctx.inv(a)) == ctx.one
 
@@ -115,3 +115,13 @@ def test_check_rejects_malformed():
         ctx.check((1,))
     with pytest.raises(DomainError):
         ctx.check((5, 0))
+
+
+def test_trace_by_log_matches_trace():
+    fields = [(p, r) for p in (2, 3, 5, 7) for r in (1, 2, 3)] + [(2, 8)]
+    for p, r in fields:
+        ctx = make_field(p, r)
+        table = ctx.trace_by_log
+        assert len(table) == ctx.q - 1
+        for k in range(ctx.q - 1):
+            assert table[k] == ctx.trace(ctx.exp(k))

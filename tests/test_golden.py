@@ -1,15 +1,18 @@
-"""Golden CLI output: the JSON of four commands on the constructed corpus.
+"""Golden outputs: the JSON of four commands on the constructed corpus,
+and the verification reports on a prefix of a seeded synthetic corpus.
 
-The digest below was recorded from a known-good build.  Any change to a
+The digests below were recorded from a known-good build.  Any change to a
 printed label, to the order of characters or rows, or to a reported
-number changes it; a refactor that keeps the outputs leaves it alone.
+number changes them; a refactor that keeps the outputs leaves them alone.
 """
 
 import hashlib
+import json
 
 from epschar.cli import main
-from epschar.corpus import constructed_corpus
+from epschar.corpus import constructed_corpus, synthetic_corpus
 from epschar.covers import cover_to_json
+from epschar.verify import full_verification
 
 COMMANDS = [
     ["verify-all"],
@@ -19,6 +22,11 @@ COMMANDS = [
 ]
 
 GOLDEN_SHA256 = "ee71dde1cab734474415fa361742326c0da859f94ff1e651333414a3e3cb022a"
+
+# synthetic_corpus(40, seed=1)[:SYNTHETIC_PREFIX]; cover 6 has places of
+# residue degree 8 over F_3, so the p-adic oracle runs on F_3^8.
+SYNTHETIC_PREFIX = 8
+SYNTHETIC_SHA256 = "d8aff53af7ef525a9c10fa81343b46518040f4f6ab639bee87072efa4440b03b"
 
 
 def test_cli_json_outputs_are_unchanged(tmp_path, capsys):
@@ -36,3 +44,13 @@ def test_cli_json_outputs_are_unchanged(tmp_path, capsys):
             assert status == 0, (command, source)
             digest.update(out.encode("utf-8"))
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def test_synthetic_reports_are_unchanged():
+    covers = synthetic_corpus(40, seed=1)[:SYNTHETIC_PREFIX]
+    assert any(q.degree == 8 and c.p == 3 for c in covers for q in c.places)
+    digest = hashlib.sha256()
+    for cover in covers:
+        for rep in full_verification(cover):
+            digest.update(json.dumps(rep.to_json_obj(), sort_keys=True).encode("utf-8"))
+    assert digest.hexdigest() == SYNTHETIC_SHA256

@@ -6,6 +6,7 @@ import pytest
 from epschar.errors import PrecisionError
 from epschar.fields import PrimePower, make_field
 from epschar.cyclotomic import MultChar
+from epschar import padic
 from epschar.padic import (
     WittRing,
     default_lambda_precision,
@@ -20,7 +21,7 @@ def test_teichmuller_is_frobenius_fixed():
         ctx = make_field(p, r)
         for x in ctx.elements():
             t = teichmuller(ctx, x, 4)
-            assert t.reduces_to(x)
+            assert tuple(c % p for c in t.coeffs) == x  # reduces to x mod p
             assert t.ring.pow(t, ctx.q) == t
 
 
@@ -28,7 +29,7 @@ def test_teichmuller_is_multiplicative():
     rng = random.Random(7)
     for p, r in [(3, 2), (5, 1), (7, 1)]:
         ctx = make_field(p, r)
-        els = list(ctx.nonzero_elements())
+        els = [x for x in ctx.elements() if x != ctx.zero]
         for _ in range(25):
             x, y = rng.choice(els), rng.choice(els)
             tx = teichmuller(ctx, x, 4)
@@ -81,3 +82,41 @@ def test_default_precision_covers_every_character():
         for c in range(ctx.q - 1):
             v = padic_gauss_valuation(ctx, MultChar(ctx, c), lambda_precision=n)
             assert 0 <= v <= ctx.r
+
+
+def test_memoized_valuation_equals_a_fresh_one():
+    ctx = make_field(3, 3)
+    chi = MultChar(ctx, 5)
+    padic._gauss_valuation.cache_clear()
+    fresh = padic_gauss_valuation(ctx, chi)
+    hits = padic._gauss_valuation.cache_info().hits
+    assert padic_gauss_valuation(ctx, chi) == fresh
+    assert padic._gauss_valuation.cache_info().hits == hits + 1
+    assert fresh == digit_sum_valuation(PrimePower(3, 3), 5)
+    # the key is c mod q-1, so c and c + (q-1) share one entry
+    assert padic_gauss_valuation(ctx, 5 + ctx.q - 1) == fresh
+    assert padic._gauss_valuation.cache_info().hits == hits + 2
+
+
+def test_precision_error_is_raised_every_time_and_never_cached():
+    ctx = make_field(5, 1)
+    padic._gauss_valuation.cache_clear()
+    for _ in range(3):
+        with pytest.raises(PrecisionError):
+            padic_gauss_valuation(ctx, MultChar(ctx, 1), lambda_precision=2)
+    assert padic._gauss_valuation.cache_info().currsize == 0
+    # a valuation the precision cannot resolve (3 >= 3) is refused each time
+    for _ in range(2):
+        with pytest.raises(PrecisionError):
+            padic._gauss_valuation(ctx, 3, 3)
+    assert padic._gauss_valuation.cache_info().currsize == 0
+
+
+def test_explicit_and_default_precision_agree():
+    for p, r in [(2, 3), (3, 2), (5, 2), (7, 1)]:
+        ctx = make_field(p, r)
+        n = default_lambda_precision(ctx)
+        for c in range(ctx.q - 1):
+            v = padic_gauss_valuation(ctx, MultChar(ctx, c))
+            assert padic_gauss_valuation(ctx, MultChar(ctx, c), lambda_precision=n) == v
+            assert padic_gauss_valuation(ctx, MultChar(ctx, c), lambda_precision=n + 3) == v

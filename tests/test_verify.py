@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -248,3 +249,32 @@ def test_invariance_flag_fails_on_a_perturbed_variant(monkeypatch):
     rep = check_invariance(cov)
     assert rep.flags["invariance_ok"] is False and not rep.passed
     assert [row.passed for row in rep.rows] == [True, True, False]
+
+
+def _cyclic_subgroups_by_every_element(group):
+    # the plain enumeration: one subgroup per element, duplicates dropped
+    seen = {}
+    for g in group.elements():
+        sub = group.subgroup([g])
+        seen.setdefault(frozenset(sub.element_set), sub)
+    return sorted(seen.values(), key=lambda s: (s.order, sorted(s.element_set)))
+
+
+def test_cyclic_subgroups_match_the_plain_enumeration():
+    groups = [cover.group for cover in constructed_corpus()]
+    groups += [AbelianGroup((2, 2, 4)), AbelianGroup((3, 9)), AbelianGroup((60,))]
+    for group in groups:
+        fast = verify._cyclic_subgroups(group)
+        plain = _cyclic_subgroups_by_every_element(group)
+        assert [s.element_set for s in fast] == [s.element_set for s in plain]
+        assert [s.generators for s in fast] == [s.generators for s in plain]
+
+
+def test_cyclic_subgroups_of_a_large_cyclic_group_are_fast():
+    group = AbelianGroup((4620,))
+    start = time.perf_counter()
+    subs = verify._cyclic_subgroups(group)
+    assert time.perf_counter() - start < 1.0
+    # one subgroup per divisor of 4620 = 2^2 * 3 * 5 * 7 * 11
+    assert len(subs) == 48
+    assert sorted(s.order for s in subs) == [d for d in range(1, 4621) if 4620 % d == 0]
