@@ -222,10 +222,6 @@ class MultChar:
     def inverse(self) -> "MultChar":
         return MultChar(self.ctx, -self.index)
 
-    def value_exponent(self, x) -> int:
-        """Exponent k with chi(x) = zeta_(q-1)^k."""
-        return (self.index * self.ctx.dlog(x)) % (self.ctx.q - 1)
-
     def value_on_minus_one(self) -> int:
         """chi(-1) as +1 or -1."""
         ctx = self.ctx
@@ -251,12 +247,9 @@ def gauss_sum(ctx: FieldContext, chi: MultChar) -> CyclotomicInt:
     mult_step = m // (ctx.q - 1) if ctx.q > 2 else 0
     add_step = m // ctx.p
     vec = [0] * m
-    x = ctx.one
-    for k in range(ctx.q - 1):
-        # x = g^k
-        expo = ((-chi.index * k) * mult_step + ctx.trace(x) * add_step) % m
-        vec[expo] += 1
-        x = ctx.mul(x, ctx.generator)
+    # entry k of trace_by_log is Tr(g^k)
+    for k, t in enumerate(ctx.trace_by_log):
+        vec[((-chi.index * k) * mult_step + t * add_step) % m] += 1
     return CyclotomicInt.from_exponent_vector(m, vec)
 
 

@@ -9,8 +9,9 @@ Two layers:
   t -> t^q, which gains one digit of agreement per step.
 
 * RamifiedRing / RamifiedElem: the extension by lambda = zeta_p - 1,
-  a vector of length p-1 of Witt coefficients reduced modulo the
-  Eisenstein relation E(lambda) = sum_(j=1..p) C(p,j) lambda^(j-1) = 0.
+  a vector of length p-1 of Witt coefficients on the powers of lambda,
+  modulo the Eisenstein relation
+  E(lambda) = sum_(j=1..p) C(p,j) lambda^(j-1) = 0.
   The powers lambda^j p^k have pairwise distinct valuations
   j + k(p-1) in units of 1/(p-1), so the valuation of an element is
   read slotwise without cancellation.
@@ -18,10 +19,13 @@ Two layers:
 padic_gauss_valuation sums the Gauss sum in the ramified ring
 (multiplicative part through Teichmueller powers, additive part through
 zeta_p = 1 + lambda, terms grouped by their trace) and reads off the
-lambda-adic valuation.  It shares no formula with the Stickelberger
-digit count, which is the point.  Results are memoized on the exact
-key (field, c mod q-1, lambda precision); c is never replaced by
-another member of its Frobenius orbit.
+lambda-adic valuation.  The slot constants of (1 + lambda)^t are plain
+integers: the binomial row C(t, j) for t < p-1, and for t = p-1 that
+row with lambda^(p-1) rewritten once through E(lambda).  It shares no
+formula with the Stickelberger digit count, which is the point.
+Results are memoized on the exact key (field, c mod q-1, lambda
+precision); c is never replaced by another member of its Frobenius
+orbit.
 """
 
 from dataclasses import dataclass
@@ -29,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import DomainError, InvalidInputError, PrecisionError
+from .errors import InvalidInputError, PrecisionError
 from .fields import FieldContext
 from .numutil import padic_valuation_int
 
@@ -63,9 +67,6 @@ class WittRing:
         """Lift a field element coefficientwise."""
         return self.element(list(x))
 
-    def add(self, a, b):
-        return WittApprox(self, tuple((x + y) % self.pM for x, y in zip(a.coeffs, b.coeffs)))
-
     def mul(self, a, b):
         r, pM = self.r, self.pM
         prod = [0] * (2 * r - 1)
@@ -82,9 +83,6 @@ class WittRing:
                     prod[shift + i] -= c * self.modulus[i]
             prod[k] = 0
         return WittApprox(self, tuple(v % pM for v in prod[:r]))
-
-    def int_scale(self, n: int, a):
-        return WittApprox(self, tuple((n * x) % self.pM for x in a.coeffs))
 
     def pow(self, a, n: int):
         result, base = self.one, a
@@ -104,9 +102,6 @@ class WittRing:
 class WittApprox:
     ring: WittRing
     coeffs: tuple
-
-    def __add__(self, other):
-        return self.ring.add(self, other)
 
     def __mul__(self, other):
         return self.ring.mul(self, other)
@@ -146,51 +141,6 @@ class RamifiedRing:
         c = list(witt_coeffs) + [self.witt.zero] * (self.deg - len(witt_coeffs))
         return RamifiedElem(self, tuple(c[: self.deg]))
 
-    @property
-    def zero(self):
-        return self.element([])
-
-    @property
-    def one(self):
-        return self.element([self.witt.one])
-
-    @property
-    def lam(self):
-        if self.deg == 1:
-            # for p = 2 the relation reads lambda = -2
-            return self.element([self.witt.element([-2])])
-        return self.element([self.witt.zero, self.witt.one])
-
-    def add(self, a, b):
-        return RamifiedElem(self, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-    def mul(self, a, b):
-        w = self.witt
-        prod = [w.zero] * (2 * self.deg - 1)
-        for i, ai in enumerate(a.coeffs):
-            for j, bj in enumerate(b.coeffs):
-                prod[i + j] = prod[i + j] + ai * bj
-        # reduce lambda^k for k >= p-1 using the monic Eisenstein relation
-        for k in range(2 * self.deg - 2, self.deg - 1, -1):
-            c = prod[k]
-            if any(c.coeffs):
-                shift = k - self.deg
-                for i in range(self.deg + 1):
-                    term = w.int_scale(-self.eisenstein[i], c)
-                    if shift + i < len(prod):
-                        prod[shift + i] = prod[shift + i] + term
-            prod[k] = w.zero
-        return RamifiedElem(self, tuple(prod[: self.deg]))
-
-    def pow(self, a, n: int):
-        result, base = self.one, a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
-
     def lambda_valuation(self, a) -> int:
         """Valuation in units of 1/(p-1); capped at (p-1) * M."""
         best = self.deg * self.witt.precision
@@ -204,16 +154,6 @@ class RamifiedRing:
 class RamifiedElem:
     ring: RamifiedRing
     coeffs: tuple  # WittApprox entries, powers of lambda, length p-1
-
-    def __add__(self, other):
-        return self.ring.add(self, other)
-
-    def __mul__(self, other):
-        return self.ring.mul(self, other)
-
-    @property
-    def lambda_precision(self) -> int:
-        return self.ring.deg * self.ring.witt.precision
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +173,16 @@ def _gauss_tables(ctx: FieldContext, precision: int):
     teich_pow = [ring.one]
     for _ in range(ctx.q - 2):
         teich_pow.append(teich_pow[-1] * omega)
-    # (1+lambda)^t has plain-integer Witt coordinates (binomials pushed
-    # through the Eisenstein relation): one integer per lambda slot
-    zeta_p = ram.one + ram.lam
+    # (1+lambda)^t has integer Witt coordinates, one per lambda slot.  For
+    # t < p-1 they are the binomials C(t, j) (Pascal's rule mod p^M); only
+    # t = p-1 reaches lambda^(p-1) = -sum_(j<p-1) C(p, j+1) lambda^j.
+    deg, pM = ram.deg, ring.pM
+    row = [1] + [0] * (deg - 1)
     consts = []
-    acc = ram.one
-    for _ in range(ctx.p):
-        if any(any(cw.coeffs[1:]) for cw in acc.coeffs):
-            raise AssertionError("(1+lambda)^t acquired a non-constant coordinate")
-        consts.append(tuple(cw.coeffs[0] for cw in acc.coeffs))
-        acc = acc * zeta_p
+    for _ in range(deg):
+        consts.append(tuple(row))
+        row = [row[0]] + [(a + b) % pM for a, b in zip(row[1:], row)]
+    consts.append(tuple((a - e) % pM for a, e in zip(row, ram.eisenstein)))
     by_trace = [[] for _ in range(ctx.p)]
     for k, t in enumerate(ctx.trace_by_log):
         by_trace[t].append(k)

@@ -111,6 +111,30 @@ def test_gauss_sum_quadratic_known_value():
     assert sq == CyclotomicInt.from_int(gauss_order(ctx), 5)
 
 
+def _gauss_sum_per_element(ctx, chi):
+    """tau(chi) summed element by element: x runs over g^k by repeated
+    multiplication, and each term reads ctx.trace(x)."""
+    m = gauss_order(ctx)
+    mult_step = m // (ctx.q - 1) if ctx.q > 2 else 0
+    add_step = m // ctx.p
+    vec = [0] * m
+    x = ctx.one
+    for k in range(ctx.q - 1):
+        vec[((-chi.index * k) * mult_step + ctx.trace(x) * add_step) % m] += 1
+        x = ctx.mul(x, ctx.generator)
+    return CyclotomicInt.from_exponent_vector(m, vec)
+
+
+def test_gauss_sum_matches_the_per_element_sum():
+    for p in (2, 3, 5, 7):
+        for r in (1, 2, 3):
+            ctx = make_field(p, r)
+            n = ctx.q - 1
+            for c in sorted({c % n for c in (0, 1, 2, n // 2, n - 1)}):
+                chi = MultChar(ctx, c)
+                assert gauss_sum(ctx, chi).coeffs == _gauss_sum_per_element(ctx, chi).coeffs, (p, r, c)
+
+
 def test_gauss_product_identity_small_fields():
     for p, r in [(2, 2), (3, 1), (3, 2), (5, 1), (7, 1), (5, 2)]:
         ctx = make_field(p, r)

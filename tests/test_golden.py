@@ -1,5 +1,6 @@
 """Golden outputs: the JSON of four commands on the constructed corpus,
-and the verification reports on a prefix of a seeded synthetic corpus.
+the verification reports on a prefix of a seeded synthetic corpus, and
+verify-all on a Kummer cover over F_211.
 
 The digests below were recorded from a known-good build.  Any change to a
 printed label, to the order of characters or rows, or to a reported
@@ -28,6 +29,10 @@ GOLDEN_SHA256 = "ee71dde1cab734474415fa361742326c0da859f94ff1e651333414a3e3cb022
 SYNTHETIC_PREFIX = 8
 SYNTHETIC_SHA256 = "d8aff53af7ef525a9c10fa81343b46518040f4f6ab639bee87072efa4440b03b"
 
+# tame places over F_211 put the p-adic oracle on p = 211
+KUMMER_211 = ["verify-all", "--builtin", "kummer:p=211,n=70,f=x(x-1)", "--format", "json"]
+KUMMER_211_SHA256 = "fa17ebbdcc201453037e68b8743b810b354cb1b0692a7871a80400cace12baa5"
+
 
 def test_cli_json_outputs_are_unchanged(tmp_path, capsys):
     inputs = []
@@ -54,3 +59,9 @@ def test_synthetic_reports_are_unchanged():
         for rep in full_verification(cover):
             digest.update(json.dumps(rep.to_json_obj(), sort_keys=True).encode("utf-8"))
     assert digest.hexdigest() == SYNTHETIC_SHA256
+
+
+def test_large_prime_kummer_cover_output_is_unchanged(capsys):
+    assert main(KUMMER_211) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == KUMMER_211_SHA256

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -120,3 +121,37 @@ def test_explicit_and_default_precision_agree():
             v = padic_gauss_valuation(ctx, MultChar(ctx, c))
             assert padic_gauss_valuation(ctx, MultChar(ctx, c), lambda_precision=n) == v
             assert padic_gauss_valuation(ctx, MultChar(ctx, c), lambda_precision=n + 3) == v
+
+
+def _stepwise_slot_constants(p, precision):
+    """(1+lambda)^t for t = 0..p-1 as integer lambda-slot vectors, built by
+    multiplying by 1+lambda one step at a time; a carry into lambda^(p-1)
+    is rewritten by E(lambda) = 0, and every slot is reduced mod p^M."""
+    pM = p**precision
+    # lambda^(p-1) = -sum_(j<p-1) C(p, j+1) lambda^j
+    relation = [-comb(p, j + 1) for j in range(p - 1)]
+    row = [1] + [0] * (p - 2)
+    rows = []
+    for _ in range(p):
+        rows.append(tuple(row))
+        carry = row[-1]
+        shifted = [0] + row[:-1]
+        row = [(a + b + carry * e) % pM for a, b, e in zip(row, shifted, relation)]
+    return tuple(rows)
+
+
+def test_gauss_table_slot_constants_match_stepwise_multiplication():
+    for p in (2, 3, 5, 7, 11, 13):
+        for r in (1, 2):
+            ctx = make_field(p, r)
+            for precision in sorted({1, 2, r + 2}):
+                consts = padic._gauss_tables(ctx, precision)[2]
+                assert consts == _stepwise_slot_constants(p, precision), (p, r, precision)
+
+
+def test_padic_matches_digit_sum_at_large_primes():
+    for p in (211, 499):
+        ctx = make_field(p, 1)
+        pp = PrimePower(p, 1)
+        for c in (1, 2, (p - 1) // 2, p - 2):
+            assert padic_gauss_valuation(ctx, MultChar(ctx, c)) == digit_sum_valuation(pp, c)
