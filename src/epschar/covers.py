@@ -195,11 +195,11 @@ class PlaceDatum:
     def e(self) -> int:
         return self.inertia.order
 
-    @property
+    @cached_property
     def e_w(self) -> int:
         return p_part(self.inertia.order, self.p)
 
-    @property
+    @cached_property
     def e_t(self) -> int:
         return self.inertia.order // self.e_w
 

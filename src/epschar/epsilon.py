@@ -133,6 +133,43 @@ def global_epsilon_valuation(
     )
 
 
+def epsilon_ledgers(
+    cover: CoverDatum,
+    oracle: str = ORACLE_STICKELBERGER,
+    convention: str = CONVENTION_STANDARD,
+    precision: int = None,
+):
+    """Yield global_epsilon_valuation's ledger for each of cover.characters().
+
+    A local term depends on the character only through its restriction
+    to the inertia group, or, where conductors are overridden, through the
+    whole character; each place keeps one table of its terms under that
+    key, built as the characters are reached.  The generator is lazy, so
+    a caller sees every ledger before the first IncompleteDatumError.
+    """
+    _check_convention(convention)
+    summary = cover.summary()
+    base_term = Fraction(cover.r * (cover.g_base - 1))
+    tables = [{} for _ in cover.places]
+    for chi in cover.characters():
+        work = chi if convention == CONVENTION_STANDARD else chi.inverse()
+        locals_ = []
+        for q, table in zip(cover.places, tables):
+            key = work if q.conductor_overrides is not None else q.inertia._key(work.vector)
+            lv = table.get(key)
+            if lv is None:
+                lv = table[key] = local_epsilon(cover, q, work, oracle=oracle, precision=precision)
+            locals_.append(lv)
+        yield EpsilonLedger(
+            cover=summary,
+            character=chi,
+            convention=convention,
+            oracle=oracle,
+            base_term=base_term,
+            locals=tuple(locals_),
+        )
+
+
 def E_element(
     cover: CoverDatum,
     oracle: str = ORACLE_STICKELBERGER,
@@ -145,10 +182,8 @@ def E_element(
     integrality of the coefficients is a theorem in the weakly
     ramified case and is left to the callers to check, not asserted.
     """
-    coeffs = {}
-    for chi in cover.characters():
-        ledger = global_epsilon_valuation(
-            cover, chi, oracle=oracle, convention=convention, precision=precision
-        )
-        coeffs[chi] = -ledger.total
+    coeffs = {
+        ledger.character: -ledger.total
+        for ledger in epsilon_ledgers(cover, oracle, convention, precision)
+    }
     return K0Element(cover.group, LEVEL_CHAR0, coeffs, p=cover.p)

@@ -27,6 +27,7 @@ from .groups import (
     cartan_map,
     decomposition_map,
     induce,
+    modular_basis,
 )
 
 
@@ -118,10 +119,8 @@ def g_term(l: int, e: int, d: int, q_base: int, i: int) -> Fraction:
         raise InvalidInputError("d = %d must lie in [0, e = %d)" % (d, e))
     if i < 0 or q_base < 2:
         raise InvalidInputError("need i >= 0 and q_base >= 2")
-    frac = Fraction(d * pow(q_base, i, e) % e, e)
-    if frac >= 1 - Fraction(l, e):
-        return frac - 1
-    return frac
+    num = d * pow(q_base, i, e) % e
+    return Fraction(num - e if num >= e - l else num, e)
 
 
 def _require_weak(cover: CoverDatum):
@@ -154,93 +153,132 @@ def psi_structure(cover: CoverDatum, D: DivisorSpec = None) -> K0Element:
         D = DivisorSpec.wild_canonical(cover)
     group = cover.group
     p = cover.p
+    basis = modular_basis(group, p)
     coeffs = {}
-
-    def add(x: K0Element, c):
-        for chi, v in x.coeffs.items():
-            coeffs[chi] = coeffs.get(chi, 0) + c * v
 
     for q in cover.places:
         parts = lm_decompose(q, D.value(q))
         if q.e_t == 1:
             continue
         e = q.e_t
-        xi = q.tame_char
-        cov_cache = {}
-
-        def ind_cov(theta):
-            if theta not in cov_cache:
-                cov_cache[theta] = induce(
-                    K0Element(q.inertia, LEVEL_PROJECTIVES, {theta: 1}, p=p), group
-                )
-            return cov_cache[theta]
-
+        # e times the coefficient of xi^k, by k mod e: the cotangent
+        # character xi has order e, and xi_j^d = xi^(p^j d)
+        by_power = {}
         for j in range(q.degree):
             twist = pow(p, j, e)
-            xi_j = xi**twist
             for d in range(1, e):
-                add(ind_cov(xi_j**d), Fraction(-d, e))
+                k = twist * d % e
+                by_power[k] = by_power.get(k, 0) - d
             for d in range(1, parts.l + 1):
-                add(ind_cov(xi_j**-d), 1)
-    add(K0Element.regular(group, LEVEL_PROJECTIVES, p=p), _base_term(cover, D))
+                k = -twist * d % e
+                by_power[k] = by_power.get(k, 0) + e
+        # Ind(theta) is the sum of the basis characters whose restriction
+        # to the inertia group has theta's key
+        fibres = {}
+        for chi in basis:
+            fibres.setdefault(q.inertia._key(chi.vector), []).append(chi)
+        for k, c in by_power.items():
+            c = Fraction(c, e)
+            for chi in fibres.get((q.tame_char**k)._key, ()):
+                coeffs[chi] = coeffs.get(chi, 0) + c
+    base = _base_term(cover, D)
+    for chi in basis:
+        coeffs[chi] = coeffs.get(chi, 0) + base
     acc = K0Element(group, LEVEL_PROJECTIVES, coeffs, p=p)
     if not acc.is_integral():
         raise IntegralityError("structure element has non-integral coefficients: %r" % acc)
     return acc
 
 
-def multiplicity_closed(cover: CoverDatum, D: DivisorSpec, chi: Character) -> Fraction:
-    """Closed form for the multiplicity of chi in e(psi(cover, D))."""
+def _multiplicity_parts(cover: CoverDatum, D: DivisorSpec):
+    """The base term, and (q, l) for each place with a local term."""
     _require_weak(cover)
     if D is None:
         D = DivisorSpec.wild_canonical(cover)
-    total = _base_term(cover, D)
-    for q in cover.places:
-        if not (q.e_t > 1 and q.e_w == 1):
-            continue
-        parts = lm_decompose(q, D.value(q))
-        d = q.tame_index(chi)
-        for i in range(q.degree):
-            total -= g_term(parts.l, q.e_t, d, cover.p, i)
+    places = [(q, lm_decompose(q, D.value(q)).l) for q in cover.places if q.e_t > 1 and q.e_w == 1]
+    return _base_term(cover, D), places
+
+
+def _closed_term(p: int, q: PlaceDatum, l: int, chi: Character) -> Fraction:
+    """Local term of the closed form: the g_term of chi at each residue embedding."""
+    d = q.tame_index(chi)
+    return sum((g_term(l, q.e_t, d, p, i) for i in range(q.degree)), Fraction(0))
+
+
+def _direct_term(p: int, q: PlaceDatum, l: int, chi: Character) -> Fraction:
+    """Local term of the point enumeration.
+
+    The index of chi against the cotangent character is solved
+    independently at every residue-field embedding (the f_q extensions
+    of an embedding give the same composition, so the deg(q) f_q points
+    collapse onto deg(q) classes weighted 1/e).
+    """
+    e = q.e_t
+    xi = q.tame_char
+    # values as integer numerators mod the root exponent n
+    n = q.inertia.root.exponent
+    pairs = [(xi.numerator(t), chi.numerator(t)) for t in q.inertia.elements()]
+    num = 0  # e times the term
+    for j in range(q.degree):
+        twist = pow(p, j, e)
+        solved = None
+        for d in range(e):
+            if all((d * twist * x - v) % n == 0 for x, v in pairs):
+                solved = d
+                break
+        if solved is None:
+            raise InvalidInputError("character does not match the cotangent data at %s" % q.label)
+        num += solved
+        if solved >= e - l:
+            num -= e
+    return Fraction(num, e)
+
+
+def _multiplicity(cover: CoverDatum, D: DivisorSpec, chi: Character, term) -> Fraction:
+    total, places = _multiplicity_parts(cover, D)
+    for q, l in places:
+        total -= term(cover.p, q, l, chi)
     return total
+
+
+def _tabled_multiplicities(cover: CoverDatum, D: DivisorSpec, term):
+    """Yield the multiplicity of each of cover.characters() along one route.
+
+    A local term depends on chi only through its restriction to the
+    inertia group, so each place keeps its own table of terms under that
+    key; the tables live for one call and one route.
+    """
+    base, places = _multiplicity_parts(cover, D)
+    tables = [{} for _ in places]
+    for chi in cover.characters():
+        total = base
+        for (q, l), table in zip(places, tables):
+            key = q.inertia._key(chi.vector)
+            t = table.get(key)
+            if t is None:
+                t = table[key] = term(cover.p, q, l, chi)
+            total -= t
+        yield total
+
+
+def multiplicity_closed(cover: CoverDatum, D: DivisorSpec, chi: Character) -> Fraction:
+    """Closed form for the multiplicity of chi in e(psi(cover, D))."""
+    return _multiplicity(cover, D, chi, _closed_term)
 
 
 def multiplicity_direct(cover: CoverDatum, D: DivisorSpec, chi: Character) -> Fraction:
-    """Point-enumeration form of the multiplicity of chi in e(psi(cover, D)).
+    """Point-enumeration form of the multiplicity of chi in e(psi(cover, D))."""
+    return _multiplicity(cover, D, chi, _direct_term)
 
-    For each tame place the index of chi against the cotangent
-    character is solved independently at every residue-field embedding
-    (the f_q extensions of an embedding give the same composition, so
-    the deg(q) f_q points collapse onto deg(q) classes weighted 1/e).
-    """
-    _require_weak(cover)
-    if D is None:
-        D = DivisorSpec.wild_canonical(cover)
-    total = _base_term(cover, D)
-    for q in cover.places:
-        if not (q.e_t > 1 and q.e_w == 1):
-            continue
-        parts = lm_decompose(q, D.value(q))
-        e = q.e_t
-        xi = q.tame_char
-        # values as integer numerators mod the root exponent n
-        n = q.inertia.root.exponent
-        pairs = [(xi.numerator(t), chi.numerator(t)) for t in q.inertia.elements()]
-        for j in range(q.degree):
-            twist = pow(cover.p, j, e)
-            solved = None
-            for d in range(e):
-                if all((d * twist * x - v) % n == 0 for x, v in pairs):
-                    solved = d
-                    break
-            if solved is None:
-                raise InvalidInputError(
-                    "character does not match the cotangent data at %s" % q.label
-                )
-            total -= Fraction(solved, e)
-            if solved >= e - parts.l:
-                total += 1
-    return total
+
+def multiplicities_closed(cover: CoverDatum, D: DivisorSpec = None):
+    """multiplicity_closed for each of cover.characters(), lazily, from per-place tables."""
+    return _tabled_multiplicities(cover, D, _closed_term)
+
+
+def multiplicities_direct(cover: CoverDatum, D: DivisorSpec = None):
+    """multiplicity_direct for each of cover.characters(), lazily, from per-place tables."""
+    return _tabled_multiplicities(cover, D, _direct_term)
 
 
 def euler_char_structure_sheaf(cover: CoverDatum) -> K0Element:

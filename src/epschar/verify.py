@@ -42,13 +42,14 @@ from .epsilon import (
     ORACLE_PADIC,
     ORACLE_STICKELBERGER,
     E_element,
-    global_epsilon_valuation,
+    epsilon_ledgers,
 )
 from .euler import (
     DivisorSpec,
     euler_char_structure_sheaf,
+    multiplicities_closed,
+    multiplicities_direct,
     multiplicity_closed,
-    multiplicity_direct,
     psi_structure,
 )
 
@@ -145,10 +146,8 @@ def check_strong(
     rows = []
     all_eq = True
     all_int = True
-    for chi in cover.characters():
-        ledger = global_epsilon_valuation(
-            cover, chi, oracle=oracle, convention=convention, precision=precision
-        )
+    for ledger in epsilon_ledgers(cover, oracle, convention, precision):
+        chi = ledger.character
         lhs = -ledger.total
         euler_term = multiplicity_closed(cover, d_wild, chi)
         wild_term = Fraction(
@@ -286,15 +285,9 @@ def _snapshot(cover: CoverDatum, convention: str, precision) -> dict:
     """Every reported quantity of a datum, keyed by a stable label."""
     out = {}
     try:
-        for chi in cover.characters():
-            ledger = global_epsilon_valuation(
-                cover,
-                chi,
-                oracle=ORACLE_STICKELBERGER,
-                convention=convention,
-                precision=precision,
-            )
-            out["eps %s" % char_label(chi)] = ledger.total
+        # lazy: the ledgers before the first incomplete character count
+        for ledger in epsilon_ledgers(cover, ORACLE_STICKELBERGER, convention, precision):
+            out["eps %s" % ledger.char_name] = ledger.total
     except IncompleteDatumError:
         pass
     if cover.weakly_ramified:
@@ -302,9 +295,14 @@ def _snapshot(cover: CoverDatum, convention: str, precision) -> dict:
         psi = psi_structure(cover, d_wild)
         for theta in modular_basis(cover.group, cover.p):
             out["psi %s" % char_label(theta)] = psi.coefficient(theta)
-        for chi in cover.characters():
-            out["mult %s" % char_label(chi)] = multiplicity_closed(cover, d_wild, chi)
-            out["dir %s" % char_label(chi)] = multiplicity_direct(cover, d_wild, chi)
+        both = zip(
+            cover.characters(),
+            multiplicities_closed(cover, d_wild),
+            multiplicities_direct(cover, d_wild),
+        )
+        for chi, closed, direct in both:
+            out["mult %s" % char_label(chi)] = closed
+            out["dir %s" % char_label(chi)] = direct
     return out
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 from fractions import Fraction
@@ -249,6 +250,59 @@ def test_invariance_flag_fails_on_a_perturbed_variant(monkeypatch):
     rep = check_invariance(cov)
     assert rep.flags["invariance_ok"] is False and not rep.passed
     assert [row.passed for row in rep.rows] == [True, True, False]
+
+
+def test_invariance_flag_fails_on_a_variant_with_a_non_frobenius_cotangent_power(monkeypatch):
+    # the powers of 2 mod 7 are 1, 2, 4, so the cube of the cotangent
+    # character is no Frobenius twist: the variant is a different datum
+    # (still with an integral structure element), and it must not be
+    # answered from the base datum's tables
+    group = AbelianGroup((7,))
+    full = group.full_subgroup()
+    xi = cyclic_character(full, (1,), 1)
+    q = dict(label="q", degree=3, inertia=full, decomposition=full, tame_char=xi)
+    cov = synthetic_cover(group, 2, 1, 0, [q])
+    variants = verify._invariance_variants
+
+    def with_perturbed(cover):
+        (place,) = cover.places
+        cubed = dataclasses.replace(place, tame_char=place.tame_char**3)
+        return variants(cover) + [("perturbed", verify._with_places(cover, [cubed]))]
+
+    monkeypatch.setattr(verify, "_invariance_variants", with_perturbed)
+    rep = check_invariance(cov)
+    assert rep.flags["invariance_ok"] is False and not rep.passed
+    assert [row.passed for row in rep.rows] == [True, True, True, True, False]
+    # eps, psi, mult and dir of each of the six nontrivial characters move
+    assert rep.rows[-1].lhs == 24
+
+
+def test_invariance_counts_the_quantities_before_an_incomplete_character():
+    # not weakly ramified and no conductors: chi(0) has an epsilon ledger,
+    # chi(1) is wild at q and stops the ledgers there, so each variant
+    # compares exactly one quantity
+    group = AbelianGroup((6,))
+    full = group.full_subgroup()
+    tame, wild = group.subgroup([(3,)]), group.subgroup([(2,)])
+    places = [
+        dict(label="t", degree=2, inertia=tame, decomposition=full,
+             tame_char=group.character((3,)).restrict(tame)),
+        dict(label="q", degree=2, inertia=wild, decomposition=full,
+             tame_char=wild.trivial_character()),
+    ]
+    cov = synthetic_cover(group, 3, 1, 0, places, weakly_ramified=False)
+    rows = [
+        {"label": label, "lhs": "0", "rhs": "0", "parts": {"quantities": "1"}, "passed": True}
+        for label in ("point re-choice", "regenerated subgroups")
+    ]
+    assert check_invariance(cov).to_json_obj() == {
+        "kind": "invariance",
+        "cover": "synthetic cover (Z/6, p=3, r=1, g_base=0, 2 ramified place(s))",
+        "passed": True,
+        "flags": {"invariance_ok": True},
+        "notes": ["1 quantities per variant"],
+        "rows": rows,
+    }
 
 
 def _cyclic_subgroups_by_every_element(group):
