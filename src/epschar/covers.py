@@ -231,11 +231,16 @@ class PlaceDatum:
     def is_tame(self) -> bool:
         return self.e_w == 1
 
+    @cached_property
+    def tame_numerators(self) -> tuple:
+        """N tame_char(t) for t in inertia.elements(), N the root exponent."""
+        return tuple(self.tame_char.numerator(t) for t in self.inertia.elements())
+
     def tame_index(self, chi: Character) -> int:
         """Index d in Z/e_t with tame_char^d = chi on the tame quotient."""
         if self.tame_generator is None:
             raise DomainError("the tame character is not faithful on the tame part of inertia")
-        return int(chi.value(self.tame_generator) * self.e_t)
+        return chi.numerator(self.tame_generator) * self.e_t // self.inertia.root.exponent
 
     def ramification_kind(self, chi: Character) -> str:
         """How chi sees this place: 'unramified', 'tame' or 'wild'."""

@@ -12,6 +12,7 @@ is one of the package's acceptance checks.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .covers import CoverDatum, PlaceDatum
 from .errors import (
@@ -111,6 +112,12 @@ def lm_decompose(place: PlaceDatum, n: int) -> LMParts:
     return LMParts(l, (k - l) // e_t)
 
 
+def _g_numerator(l: int, e: int, d: int, q_base: int, i: int) -> int:
+    """e times g_term(l, e, d, q_base, i), unchecked."""
+    num = d * pow(q_base, i, e) % e
+    return num - e if num >= e - l else num
+
+
 def g_term(l: int, e: int, d: int, q_base: int, i: int) -> Fraction:
     """The rational in [-l/e, 1-l/e) congruent to d q^i / e mod 1."""
     if not 0 <= l < e:
@@ -119,8 +126,7 @@ def g_term(l: int, e: int, d: int, q_base: int, i: int) -> Fraction:
         raise InvalidInputError("d = %d must lie in [0, e = %d)" % (d, e))
     if i < 0 or q_base < 2:
         raise InvalidInputError("need i >= 0 and q_base >= 2")
-    num = d * pow(q_base, i, e) % e
-    return Fraction(num - e if num >= e - l else num, e)
+    return Fraction(_g_numerator(l, e, d, q_base, i), e)
 
 
 def _require_weak(cover: CoverDatum):
@@ -201,8 +207,8 @@ def _multiplicity_parts(cover: CoverDatum, D: DivisorSpec):
 
 def _closed_term(p: int, q: PlaceDatum, l: int, chi: Character) -> Fraction:
     """Local term of the closed form: the g_term of chi at each residue embedding."""
-    d = q.tame_index(chi)
-    return sum((g_term(l, q.e_t, d, p, i) for i in range(q.degree)), Fraction(0))
+    e, d = q.e_t, q.tame_index(chi)
+    return Fraction(sum(_g_numerator(l, e, d, p, i) for i in range(q.degree)), e)
 
 
 def _direct_term(p: int, q: PlaceDatum, l: int, chi: Character) -> Fraction:
@@ -214,10 +220,9 @@ def _direct_term(p: int, q: PlaceDatum, l: int, chi: Character) -> Fraction:
     collapse onto deg(q) classes weighted 1/e).
     """
     e = q.e_t
-    xi = q.tame_char
     # values as integer numerators mod the root exponent n
     n = q.inertia.root.exponent
-    pairs = [(xi.numerator(t), chi.numerator(t)) for t in q.inertia.elements()]
+    pairs = list(zip(q.tame_numerators, map(chi.numerator, q.inertia.elements())))
     num = 0  # e times the term
     for j in range(q.degree):
         twist = pow(p, j, e)
@@ -246,9 +251,13 @@ def _tabled_multiplicities(cover: CoverDatum, D: DivisorSpec, term):
 
     A local term depends on chi only through its restriction to the
     inertia group, so each place keeps its own table of terms under that
-    key; the tables live for one call and one route.
+    key; the tables live for one call and one route.  Every term is kept
+    as an integer numerator over L, the lcm of the base term's
+    denominator and the e_t of each place.
     """
     base, places = _multiplicity_parts(cover, D)
+    L = lcm(base.denominator, *(q.e_t for q, _ in places))
+    base = base.numerator * (L // base.denominator)
     tables = [{} for _ in places]
     for chi in cover.characters():
         total = base
@@ -256,9 +265,10 @@ def _tabled_multiplicities(cover: CoverDatum, D: DivisorSpec, term):
             key = q.inertia._key(chi.vector)
             t = table.get(key)
             if t is None:
-                t = table[key] = term(cover.p, q, l, chi)
+                t = term(cover.p, q, l, chi)
+                t = table[key] = t.numerator * (L // t.denominator)
             total -= t
-        yield total
+        yield Fraction(total, L)
 
 
 def multiplicity_closed(cover: CoverDatum, D: DivisorSpec, chi: Character) -> Fraction:

@@ -7,13 +7,16 @@ and a full discrete-log table, so character sums downstream are exact
 table lookups.  Construction is deterministic: the modulus is the first
 monic irreducible of degree r in the numeric coefficient order
 (a_0 + a_1 p + ... smallest first) and the generator is the first
-primitive element in the same order.
+primitive element in the same order.  The power table is built by a
+linear map: multiplication by the generator is F_p-linear, so each
+power is its r x r matrix applied to the previous one.
 
 Intended for desk-scale fields (q <= 10**6), not for cryptography.
 """
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import mul
 
 from .errors import CapacityError, DomainError, InvalidInputError
 from .numutil import factorize, is_prime
@@ -167,10 +170,14 @@ class FieldContext:
         for enc in range(1, q):
             g = self.element_from_int(enc)
             if all(self.pow(g, (q - 1) // f) != self.one for f in factors):
+                # multiplication by g is F_p-linear: row j of its matrix holds
+                # coefficient j of g x^i for each basis monomial x^i
+                cols = [self.mul(g, self._reduce_int_poly([0] * i + [1])) for i in range(r)]
+                matrix = tuple(zip(*cols))
                 exp = [self.one]
                 t = self.one
                 for _ in range(q - 2):
-                    t = self.mul(t, g)
+                    t = tuple(sum(map(mul, row, t)) % p for row in matrix)
                     exp.append(t)
                 log = [None] * q
                 for k, el in enumerate(exp):

@@ -6,7 +6,10 @@ Two layers:
   realized as Z[x] / (p^M, F) where F is the field modulus of the
   FieldContext lifted verbatim to integer coefficients.  Teichmueller
   representatives come from the Frobenius fixed-point iteration
-  t -> t^q, which gains one digit of agreement per step.
+  t -> t^q, which gains one digit of agreement per step.  The table of
+  powers of omega = Teich(g) is built by a linear map: multiplication
+  by omega is Z/p^M-linear, so each power is its r x r matrix applied
+  to the previous coordinate tuple.
 
 * RamifiedRing / RamifiedElem: the extension by lambda = zeta_p - 1,
   a vector of length p-1 of Witt coefficients on the powers of lambda,
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 from .errors import InvalidInputError, PrecisionError
 from .fields import FieldContext
@@ -170,13 +174,19 @@ def _gauss_tables(ctx: FieldContext, precision: int):
     ring = WittRing(ctx, precision)
     ram = RamifiedRing(ring)
     omega = teichmuller(ctx, ctx.generator, precision)
-    teich_pow = [ring.one]
+    # multiplication by omega is Z/p^M-linear: row j of its matrix holds
+    # coordinate j of omega x^i for each basis monomial x^i
+    deg, pM = ram.deg, ring.pM
+    cols = [(omega * ring.element([0] * i + [1])).coeffs for i in range(ring.r)]
+    matrix = tuple(zip(*cols))
+    t = ring.one.coeffs
+    teich_pow = [t]
     for _ in range(ctx.q - 2):
-        teich_pow.append(teich_pow[-1] * omega)
+        t = tuple(sum(map(mul, row, t)) % pM for row in matrix)
+        teich_pow.append(t)
     # (1+lambda)^t has integer Witt coordinates, one per lambda slot.  For
     # t < p-1 they are the binomials C(t, j) (Pascal's rule mod p^M); only
     # t = p-1 reaches lambda^(p-1) = -sum_(j<p-1) C(p, j+1) lambda^j.
-    deg, pM = ram.deg, ring.pM
     row = [1] + [0] * (deg - 1)
     consts = []
     for _ in range(deg):
@@ -186,7 +196,7 @@ def _gauss_tables(ctx: FieldContext, precision: int):
     by_trace = [[] for _ in range(ctx.p)]
     for k, t in enumerate(ctx.trace_by_log):
         by_trace[t].append(k)
-    return ram, tuple(t.coeffs for t in teich_pow), tuple(consts), tuple(map(tuple, by_trace))
+    return ram, tuple(teich_pow), tuple(consts), tuple(map(tuple, by_trace))
 
 
 def padic_gauss_valuation(ctx: FieldContext, chi, lambda_precision: int = None) -> Fraction:

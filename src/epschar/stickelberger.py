@@ -110,7 +110,13 @@ def d_from_c(datum: TameLocalDatum, c: int) -> int:
 
 def stickelberger_valuation(datum: TameLocalDatum, d: int) -> Fraction:
     """Sum of the fractional-part tuple: v_p of the tame Gauss sum."""
-    return sum(s_tuple(datum, d), Fraction(0))
+    _check_d(datum, d)
+    e, p = datum.e_t, datum.p
+    total, t = 0, d
+    for _ in range(datum.r):
+        total += t
+        t = t * p % e
+    return Fraction(total, e)
 
 
 def digit_sum_valuation(pp: PrimePower, c: int) -> Fraction:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from epschar.corpus import constructed_corpus, synthetic_corpus
 from epschar.covers import (
     INFINITY,
     CoverDatum,
@@ -399,3 +400,11 @@ def test_random_covers_validate():
             cov = random_weakly_ramified_cover(rng)
             validate_cover(cov)  # raises on any broken invariant
             assert cov.weakly_ramified
+
+
+def test_tame_index_is_the_value_at_the_tame_generator():
+    for cover in constructed_corpus() + synthetic_corpus(40, seed=1):
+        for q in cover.places:
+            t = q.tame_generator
+            for chi in cover.characters():
+                assert q.tame_index(chi) == int(chi.value(t) * q.e_t), (q, chi)

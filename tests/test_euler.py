@@ -3,15 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from epschar.corpus import constructed_corpus, mixed_synthetic_example
+from epschar.corpus import constructed_corpus, mixed_synthetic_example, synthetic_corpus
 from epschar.covers import artin_schreier_cover, kummer_cover, synthetic_cover
 from epschar.errors import IntegralityError, InvalidInputError, NotWeaklyRamifiedError
 from epschar.euler import (
     DivisorSpec,
     LMParts,
+    _closed_term,
     euler_char_structure_sheaf,
     g_term,
     lm_decompose,
+    multiplicities_closed,
+    multiplicities_direct,
     multiplicity_closed,
     multiplicity_direct,
     psi_structure,
@@ -158,3 +161,42 @@ def test_requires_weak_ramification():
         euler_char_structure_sheaf(cov)
     with pytest.raises(NotWeaklyRamifiedError):
         multiplicity_closed(cov, None, chi)
+
+
+def test_closed_term_is_the_sum_of_g_terms():
+    for cover in constructed_corpus() + synthetic_corpus(40, seed=1):
+        for q in cover.places:
+            e = q.e_t
+            if e == 1:
+                continue
+            for chi in cover.characters():
+                d = q.tame_index(chi)
+                for l in range(e):
+                    # the representative of d p^i / e mod 1 in [-l/e, 1 - l/e)
+                    window = [Fraction(d * cover.p**i % e, e) for i in range(q.degree)]
+                    window = [x - 1 if x >= 1 - Fraction(l, e) else x for x in window]
+                    terms = [g_term(l, e, d, cover.p, i) for i in range(q.degree)]
+                    assert terms == window, (q, chi, l)
+                    assert _closed_term(cover.p, q, l, chi) == sum(terms), (q, chi, l)
+
+
+def test_tabled_multiplicities_over_coprime_ramification_indices():
+    # tame places with e_t = 2 and 3: the terms' common denominator is 6,
+    # which neither place's e_t is
+    group = AbelianGroup((6,))
+    full = group.full_subgroup()
+    places = []
+    for label, gen in (("a", (3,)), ("b", (2,))):
+        inertia = group.subgroup([gen])
+        places.append(dict(label=label, degree=1, inertia=inertia, decomposition=full,
+                           tame_char=group.character((1,)).restrict(inertia)))
+    cover = synthetic_cover(group, 7, 1, 0, places)
+    for n_a in range(2):
+        for n_b in range(3):
+            D = DivisorSpec(cover, {"a": n_a, "b": n_b})
+            closed = [multiplicity_closed(cover, D, chi) for chi in cover.characters()]
+            direct = [multiplicity_direct(cover, D, chi) for chi in cover.characters()]
+            assert closed == direct
+            assert list(multiplicities_closed(cover, D)) == closed
+            assert list(multiplicities_direct(cover, D)) == direct
+            assert {x.denominator for x in closed} >= {2, 3}

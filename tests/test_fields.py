@@ -8,6 +8,7 @@ from epschar.fields import (
     make_field,
     poly_is_irreducible,
 )
+from epschar.numutil import factorize
 
 FIELDS = [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2), (2, 6)]
 
@@ -125,3 +126,32 @@ def test_trace_by_log_matches_trace():
         assert len(table) == ctx.q - 1
         for k in range(ctx.q - 1):
             assert table[k] == ctx.trace(ctx.exp(k))
+
+
+# every field with p <= 7 and r <= 3, and the large fields of the synthetic sweep
+LOG_TABLE_FIELDS = [(p, r) for p in (2, 3, 5, 7) for r in (1, 2, 3)] + [(2, 8), (3, 8), (7, 4)]
+
+
+def _first_primitive(ctx):
+    """The first element in numeric order whose powers fill F_q^*."""
+    factors = factorize(ctx.q - 1) if ctx.q > 2 else {}
+    for enc in range(1, ctx.q):
+        g = ctx.element_from_int(enc)
+        if all(ctx.pow(g, (ctx.q - 1) // ell) != ctx.one for ell in factors):
+            return g
+    raise AssertionError("no primitive element")
+
+
+def test_log_tables_equal_the_multiplication_chain():
+    for p, r in LOG_TABLE_FIELDS:
+        ctx = make_field(p, r)
+        g = _first_primitive(ctx)
+        chain = [ctx.one]
+        for _ in range(ctx.q - 2):
+            chain.append(ctx.mul(chain[-1], g))
+        log = [None] * ctx.q
+        for k, x in enumerate(chain):
+            log[ctx.encode(x)] = k
+        assert list(ctx._exp) == chain, (p, r)
+        assert list(ctx._log) == log, (p, r)
+        assert ctx.generator == (chain[1] if ctx.q > 2 else ctx.one)

@@ -155,3 +155,20 @@ def test_padic_matches_digit_sum_at_large_primes():
         pp = PrimePower(p, 1)
         for c in (1, 2, (p - 1) // 2, p - 2):
             assert padic_gauss_valuation(ctx, MultChar(ctx, c)) == digit_sum_valuation(pp, c)
+
+
+def test_gauss_table_teichmuller_rows_equal_the_multiplication_chain():
+    # the fields of test_fields' log-table pin, at the precision that
+    # padic_gauss_valuation asks for by default, as the sweep does
+    fields = [(p, r) for p in (2, 3, 5, 7) for r in (1, 2, 3)] + [(2, 8), (3, 8), (7, 4)]
+    for p, r in fields:
+        ctx = make_field(p, r)
+        precision = default_lambda_precision(ctx) // (p - 1) + 2
+        ring = WittRing(ctx, precision)
+        omega = teichmuller(ctx, ctx.generator, precision)
+        t = ring.one
+        rows = [t.coeffs]
+        for _ in range(ctx.q - 2):
+            t = ring.mul(t, omega)
+            rows.append(t.coeffs)
+        assert padic._gauss_tables(ctx, precision)[1] == tuple(rows), (p, r, precision)

@@ -109,3 +109,17 @@ def test_validation_errors():
         digit_sum_valuation(PrimePower(3, 2), 8)
     with pytest.raises(DomainError):
         digit_sum_valuation(PrimePower(3, 2), -1)
+
+
+def test_stickelberger_valuation_is_the_sum_of_the_tuple():
+    for p in (2, 3, 5, 7):
+        for r in (1, 2, 3):
+            q = p**r
+            for e_t in (e for e in range(1, q) if (q - 1) % e == 0):
+                for e_w in (1, p):
+                    datum = TameLocalDatum(PrimePower(p, r), e_t, e_w)
+                    for d in range(e_t):
+                        assert stickelberger_valuation(datum, d) == sum(s_tuple(datum, d))
+                    for d in (-1, e_t):
+                        with pytest.raises(DomainError):
+                            stickelberger_valuation(datum, d)
