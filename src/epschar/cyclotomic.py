@@ -3,10 +3,9 @@
 Elements are integer coefficient vectors of length phi(m) on the power
 basis 1, zeta, ..., zeta^(phi(m)-1), fully reduced modulo the m-th
 cyclotomic polynomial, so equality is tuple equality.  Multiplication
-folds exponents modulo m (zeta^m = 1) and then reduces through a cached
-reduction table; the table is also exposed as an int64 matrix so that
-bulk constructions (Gauss sums and their products) can run through
-numpy with an exact overflow guard.
+folds exponents modulo m (zeta^m = 1); the reduction then folds the top
+half onto the bottom half with a minus sign when m is even (zeta^(m/2)
+= -1) and long-divides by the monic Phi_m, all in Python integers.
 """
 
 from dataclasses import dataclass
@@ -14,12 +13,8 @@ from functools import lru_cache
 from math import gcd, lcm
 import cmath
 
-import numpy as np
-
 from .errors import DomainError
 from .fields import FieldContext
-
-_INT64_GUARD = 2**62
 
 
 @lru_cache(maxsize=None)
@@ -51,31 +46,15 @@ def _exact_poly_div(num, den):
 
 
 @lru_cache(maxsize=None)
-def _reduction_table(m: int):
-    """Rows zeta^k (k < m) expressed on the reduced basis, plus numpy form."""
-    phi = len(cyclotomic_polynomial(m)) - 1
-    rows = []
-    for k in range(phi):
-        row = [0] * phi
-        row[k] = 1
-        rows.append(row)
-    cyc = list(cyclotomic_polynomial(m))
-    cur = rows[phi - 1]
-    for _ in range(phi, m):
-        nxt = [0] + cur[:-1]
-        lead = cur[-1]
-        if lead:
-            for i in range(phi):
-                nxt[i] -= lead * cyc[i]
-        rows.append(nxt)
-        cur = nxt
-    matrix = np.array(rows, dtype=np.int64)
-    max_entry = int(np.max(np.abs(matrix))) if m > 1 else 1
-    return phi, tuple(tuple(r) for r in rows), matrix, max_entry
+def _reducer(m: int):
+    """phi(m) and the nonzero terms (i, c_i) of Phi_m below its leading term."""
+    cyc = cyclotomic_polynomial(m)
+    phi = len(cyc) - 1
+    return phi, tuple((i, c) for i, c in enumerate(cyc[:phi]) if c)
 
 
 def euler_phi(m: int) -> int:
-    return _reduction_table(m)[0]
+    return _reducer(m)[0]
 
 
 @dataclass(frozen=True)
@@ -95,20 +74,22 @@ class CyclotomicInt:
     @staticmethod
     def from_exponent_vector(m: int, vec) -> "CyclotomicInt":
         """Reduce an integer vector indexed by exponents 0..m-1."""
-        phi, rows, matrix, max_entry = _reduction_table(m)
+        phi, terms = _reducer(m)
         if len(vec) != m:
             raise DomainError("exponent vector must have length m")
-        peak = max((abs(v) for v in vec), default=0)
-        if peak and peak * max_entry * m < _INT64_GUARD:
-            out = np.asarray(vec, dtype=np.int64) @ matrix
-            return CyclotomicInt(m, tuple(int(c) for c in out))
-        acc = [0] * phi
-        for k, v in enumerate(vec):
-            if v:
-                row = rows[k]
-                for i in range(phi):
-                    acc[i] += v * row[i]
-        return CyclotomicInt(m, tuple(acc))
+        if m % 2 == 0:
+            half = m // 2
+            acc = [a - b for a, b in zip(vec[:half], vec[half:])]
+        else:
+            acc = list(vec)
+        # zeta^d = -sum c_i zeta^(d - phi + i), from the top degree down
+        for d in range(len(acc) - 1, phi - 1, -1):
+            c = acc[d]
+            if c:
+                base = d - phi
+                for i, ci in terms:
+                    acc[base + i] -= c * ci
+        return CyclotomicInt(m, tuple(acc[:phi]))
 
     @staticmethod
     def from_int(m: int, n: int) -> "CyclotomicInt":
@@ -138,9 +119,6 @@ class CyclotomicInt:
     def __sub__(self, other):
         other = self._match(other)
         return CyclotomicInt(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return CyclotomicInt(self.order, tuple(-a for a in self.coeffs))
 
     def __rmul__(self, other):
         return self.__mul__(other)

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -225,3 +226,47 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["valuations"]["stickelberger"] == "1"
+
+
+def test_no_numpy_import():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, epschar.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_large_gauss_runs_in_bounded_memory():
+    # m = lcm(211, 210) = 44310; the |tau|^2 note reduces tau in Z[zeta_m]
+    proc = subprocess.run(
+        [sys.executable, "-m", "epschar.cli", "gauss", "--p", "211", "--char", "1",
+         "--oracle", "padic", "--format", "json"],
+        capture_output=True,
+        text=True,
+        preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    obj = json.loads(proc.stdout)
+    assert obj["valuations"] == {"padic": "1/210"}
+    assert abs(obj["abs2"] - 211) < 1e-6 * 211
+
+
+@pytest.mark.parametrize("argv", [
+    ["euler", "--builtin", "kummer:p=5,n=2,f=x(x-1)", "--oracle", "padic"],
+    ["euler", "--builtin", "kummer:p=5,n=2,f=x(x-1)", "--precision", "4"],
+    ["euler", "--builtin", "kummer:p=5,n=2,f=x(x-1)", "--convention", "inverted"],
+    ["corpus", "--convention", "inverted"],
+    ["corpus", "--oracle", "padic"],
+    ["corpus", "--precision", "4"],
+    ["gauss", "--p", "5", "--char", "1", "--convention", "inverted"],
+])
+def test_options_a_command_does_not_read_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

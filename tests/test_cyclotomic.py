@@ -144,3 +144,58 @@ def test_gauss_product_identity_small_fields():
             assert abs(complex_abs2(gauss_sum(ctx, chi)) - ctx.q) <= 1e-9 * ctx.q
     with pytest.raises(DomainError):
         gauss_product_check(make_field(3, 1), MultChar(make_field(3, 1), 0))
+
+
+# -- pin: the reduction against a dense reference -----------------------------
+
+
+def _dense_reduce(m, vecs):
+    """Reduce each exponent vector through the dense row recurrence
+    zeta^k = shift(zeta^(k-1)) - lead * Phi_m, one row per k < m."""
+    cyc = cyclotomic_polynomial(m)
+    phi = len(cyc) - 1
+    accs = [[0] * phi for _ in vecs]
+    row = None
+    for k in range(m):
+        if k < phi:
+            row = [0] * phi
+            row[k] = 1
+        else:
+            lead = row[-1]
+            row = [0] + row[:-1]
+            if lead:
+                row = [a - lead * c for a, c in zip(row, cyc)]
+        for acc, vec in zip(accs, vecs):
+            v = vec[k]
+            if v:
+                acc[:] = [a + v * r for a, r in zip(acc, row)]
+    return [tuple(acc) for acc in accs]
+
+
+def _pin_vectors(m, rng):
+    small = [rng.randrange(-3, 4) for _ in range(m)]
+    sparse = [0] * m
+    for _ in range(3):
+        sparse[rng.randrange(m)] = rng.randrange(-50, 51)
+    # entries of 2**62 and more overflow any int64 shortcut
+    huge = [rng.choice((-1, 1)) * rng.randrange(2**62, 2**70) if rng.random() < 0.3 else 0
+            for _ in range(m)]
+    return [small, sparse, huge, [0] * m, [1] * m]
+
+
+def _gauss_orders():
+    orders = {gauss_order(make_field(p, r)) for p in (2, 3, 5, 7) for r in (1, 2, 3)}
+    orders.add(gauss_order(make_field(31, 1)))
+    return sorted(orders)
+
+
+@pytest.mark.parametrize("m", list(range(1, 61)) + _gauss_orders())
+def test_reduction_matches_dense_reference(m):
+    vecs = _pin_vectors(m, random.Random(m))
+    for vec, expected in zip(vecs, _dense_reduce(m, vecs)):
+        assert CyclotomicInt.from_exponent_vector(m, vec).coeffs == expected
+
+
+def test_reduction_refuses_a_wrong_length():
+    with pytest.raises(DomainError):
+        CyclotomicInt.from_exponent_vector(6, [1] * 5)
