@@ -46,7 +46,7 @@ from .cyclotomic import (
     gauss_product_check,
     gauss_sum,
 )
-from .padic import default_lambda_precision, padic_gauss_valuation, teichmuller
+from .padic import padic_gauss_valuation, teichmuller
 from .stickelberger import (
     TameLocalDatum,
     c_from_d,

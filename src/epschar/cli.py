@@ -264,7 +264,7 @@ def _cmd_gauss(args) -> int:
     if args.oracle in (ORACLE_STICKELBERGER, "both"):
         values[ORACLE_STICKELBERGER] = digit_sum_valuation(PrimePower(args.p, args.r), index)
     if args.oracle in (ORACLE_PADIC, "both"):
-        values[ORACLE_PADIC] = padic_gauss_valuation(ctx, MultChar(ctx, index), args.precision)
+        values[ORACLE_PADIC] = padic_gauss_valuation(ctx, MultChar(ctx, index))
     agree = len(set(values.values())) == 1 if len(values) == 2 else None
     abs2 = None
     if q <= _COMPLEX_SANITY_MAX_Q:
@@ -300,9 +300,7 @@ def _cmd_epsilon(args) -> int:
     status = 0
     for chi in cover.characters():
         ledgers = {
-            oracle: global_epsilon_valuation(
-                cover, chi, oracle=oracle, convention=args.convention, precision=args.precision
-            )
+            oracle: global_epsilon_valuation(cover, chi, oracle=oracle, convention=args.convention)
             for oracle in oracles
         }
         first = ledgers[oracles[0]]
@@ -348,9 +346,10 @@ def _cmd_euler(args) -> int:
     cover = _load_cover(args)
     if args.divisor:
         spec = json.loads(args.divisor)
-        if not isinstance(spec, dict):
+        # bool is an int subclass; JSON true is not a coefficient
+        if not isinstance(spec, dict) or any(type(v) is not int for v in spec.values()):
             raise InvalidInputError("--divisor wants a JSON object of place: integer")
-        divisor = DivisorSpec(cover, {k: int(v) for k, v in spec.items()})
+        divisor = DivisorSpec(cover, spec)
     else:
         divisor = DivisorSpec.wild_canonical(cover)
     psi = psi_structure(cover, divisor)
@@ -425,10 +424,7 @@ def _run_reports(args, reports) -> int:
 def _cmd_verify_strong(args) -> int:
     cover = _load_cover(args)
     oracles = [args.oracle] if args.oracle != "both" else [ORACLE_PADIC, ORACLE_STICKELBERGER]
-    reports = [
-        check_strong(cover, oracle=oracle, convention=args.convention, precision=args.precision)
-        for oracle in oracles
-    ]
+    reports = [check_strong(cover, oracle=oracle, convention=args.convention) for oracle in oracles]
     return _run_reports(args, reports)
 
 
@@ -437,19 +433,14 @@ def _cmd_verify_weak(args) -> int:
     oracles = (
         [args.oracle] if args.oracle != "both" else [ORACLE_STICKELBERGER, ORACLE_PADIC]
     )
-    reports = [
-        check_weak(cover, oracle=oracle, convention=args.convention, precision=args.precision)
-        for oracle in oracles
-    ]
+    reports = [check_weak(cover, oracle=oracle, convention=args.convention) for oracle in oracles]
     return _run_reports(args, reports)
 
 
 def _cmd_verify_all(args) -> int:
     cover = _load_cover(args)
     oracle = ORACLE_PADIC if args.oracle == "both" else args.oracle
-    reports = full_verification(
-        cover, oracle=oracle, convention=args.convention, precision=args.precision
-    )
+    reports = full_verification(cover, oracle=oracle, convention=args.convention)
     return _run_reports(args, reports)
 
 
@@ -501,9 +492,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 choices=(ORACLE_STICKELBERGER, ORACLE_PADIC, "both"),
                 default=oracle_default,
                 help="Gauss-sum valuation oracle (default: %(default)s)",
-            )
-            par.add_argument(
-                "--precision", type=int, default=None, help="p-adic working precision override"
             )
         if convention:
             par.add_argument(

@@ -227,10 +227,6 @@ class PlaceDatum:
     def is_wild(self) -> bool:
         return self.e_w > 1
 
-    @property
-    def is_tame(self) -> bool:
-        return self.e_w == 1
-
     @cached_property
     def tame_numerators(self) -> tuple:
         """N tame_char(t) for t in inertia.elements(), N the root exponent."""

@@ -109,7 +109,7 @@ class CyclotomicInt:
         if not isinstance(other, CyclotomicInt):
             other = CyclotomicInt.from_int(self.order, int(other))
         if other.order != self.order:
-            raise DomainError("orders differ; embed into a common order first")
+            raise DomainError("cyclotomic orders differ")
         return other
 
     def __add__(self, other):
@@ -119,9 +119,6 @@ class CyclotomicInt:
     def __sub__(self, other):
         other = self._match(other)
         return CyclotomicInt(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -147,27 +144,7 @@ class CyclotomicInt:
                 vec[(i * t) % m] += a
         return CyclotomicInt.from_exponent_vector(m, vec)
 
-    def embed(self, bigger: int) -> "CyclotomicInt":
-        """Image under zeta_m = zeta_M^(M/m); requires m | M."""
-        m = self.order
-        if bigger % m != 0:
-            raise DomainError(f"{m} does not divide {bigger}")
-        scale = bigger // m
-        vec = [0] * bigger
-        for i, a in enumerate(self.coeffs):
-            vec[(i * scale) % bigger] += a
-        return CyclotomicInt.from_exponent_vector(bigger, vec)
-
     # -- inspection -------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def rational_value(self) -> int:
-        """The element as a plain integer, if it is one."""
-        if any(self.coeffs[1:]):
-            raise DomainError("element is not a rational integer")
-        return self.coeffs[0]
 
     def complex_value(self) -> complex:
         root = cmath.exp(2j * cmath.pi / self.order)

@@ -85,7 +85,6 @@ def local_epsilon(
     place: PlaceDatum,
     chi: Character,
     oracle: str = ORACLE_STICKELBERGER,
-    precision: int = None,
 ) -> LocalEpsilonVal:
     """Valuation of the local epsilon factor of chi at one place."""
     _check_oracle(oracle)
@@ -102,7 +101,7 @@ def local_epsilon(
         val = stickelberger_valuation(datum, d)
     else:
         ctx = make_field(cover.p, place.degree)
-        val = padic_gauss_valuation(ctx, MultChar(ctx, c), precision)
+        val = padic_gauss_valuation(ctx, MultChar(ctx, c))
     return LocalEpsilonVal(place.label, kind, val, gauss_index=c)
 
 
@@ -111,7 +110,6 @@ def global_epsilon_valuation(
     chi: Character,
     oracle: str = ORACLE_STICKELBERGER,
     convention: str = CONVENTION_STANDARD,
-    precision: int = None,
 ) -> EpsilonLedger:
     """Ledger of the valuation of the global epsilon constant of chi.
 
@@ -120,9 +118,7 @@ def global_epsilon_valuation(
     """
     _check_convention(convention)
     work = chi if convention == CONVENTION_STANDARD else chi.inverse()
-    locals_ = tuple(
-        local_epsilon(cover, q, work, oracle=oracle, precision=precision) for q in cover.places
-    )
+    locals_ = tuple(local_epsilon(cover, q, work, oracle=oracle) for q in cover.places)
     return EpsilonLedger(
         cover=cover.summary(),
         character=chi,
@@ -137,7 +133,6 @@ def epsilon_ledgers(
     cover: CoverDatum,
     oracle: str = ORACLE_STICKELBERGER,
     convention: str = CONVENTION_STANDARD,
-    precision: int = None,
 ):
     """Yield global_epsilon_valuation's ledger for each of cover.characters().
 
@@ -158,7 +153,7 @@ def epsilon_ledgers(
             key = work if q.conductor_overrides is not None else q.inertia._key(work.vector)
             lv = table.get(key)
             if lv is None:
-                lv = table[key] = local_epsilon(cover, q, work, oracle=oracle, precision=precision)
+                lv = table[key] = local_epsilon(cover, q, work, oracle=oracle)
             locals_.append(lv)
         yield EpsilonLedger(
             cover=summary,
@@ -174,7 +169,6 @@ def E_element(
     cover: CoverDatum,
     oracle: str = ORACLE_STICKELBERGER,
     convention: str = CONVENTION_STANDARD,
-    precision: int = None,
 ) -> K0Element:
     """The virtual character with <E, chi> = -v_p of the epsilon constant of chi.
 
@@ -183,7 +177,6 @@ def E_element(
     ramified case and is left to the callers to check, not asserted.
     """
     coeffs = {
-        ledger.character: -ledger.total
-        for ledger in epsilon_ledgers(cover, oracle, convention, precision)
+        ledger.character: -ledger.total for ledger in epsilon_ledgers(cover, oracle, convention)
     }
     return K0Element(cover.group, LEVEL_CHAR0, coeffs, p=cover.p)

@@ -81,9 +81,6 @@ class DivisorSpec:
         label = place.label if isinstance(place, PlaceDatum) else place
         return self.values.get(label, 0)
 
-    def is_zero(self) -> bool:
-        return not self.values
-
     def degree_bar(self):
         """Degree of the divisor upstairs: n deg(q)/e_q points above q."""
         total = Fraction(0)

@@ -279,10 +279,11 @@ def make_field(p: int, r: int) -> FieldContext:
     """Deterministic context for F_(p^r); bounds: r <= 12, p^r <= 10**6."""
     if not isinstance(p, int) or not isinstance(r, int):
         raise InvalidInputError("p and r must be integers")
-    if not is_prime(p):
-        raise InvalidInputError(f"p = {p} is not prime")
     if r < 1:
         raise InvalidInputError(f"r = {r} must be >= 1")
-    if r > MAX_R or p**r > MAX_Q:
+    # the size check comes first, so a huge p is refused before trial division
+    if p > 1 and (r > MAX_R or p**r > MAX_Q):
         raise CapacityError(f"F_{p}^{r} exceeds supported size (r <= {MAX_R}, q <= {MAX_Q})")
+    if not is_prime(p):
+        raise InvalidInputError(f"p = {p} is not prime")
     return FieldContext(p, r)

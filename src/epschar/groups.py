@@ -422,9 +422,6 @@ class K0Element:
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs.values())
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other):
         if not isinstance(other, K0Element):
             return NotImplemented

@@ -128,7 +128,6 @@ def check_strong(
     cover: CoverDatum,
     oracle: str = ORACLE_PADIC,
     convention: str = CONVENTION_STANDARD,
-    precision: int = None,
 ) -> VerificationReport:
     """Per-character comparison of the two sides of the valuation formula.
 
@@ -146,7 +145,7 @@ def check_strong(
     rows = []
     all_eq = True
     all_int = True
-    for ledger in epsilon_ledgers(cover, oracle, convention, precision):
+    for ledger in epsilon_ledgers(cover, oracle, convention):
         chi = ledger.character
         lhs = -ledger.total
         euler_term = multiplicity_closed(cover, d_wild, chi)
@@ -179,7 +178,6 @@ def check_weak(
     cover: CoverDatum,
     oracle: str = ORACLE_STICKELBERGER,
     convention: str = CONVENTION_STANDARD,
-    precision: int = None,
 ) -> VerificationReport:
     """Image of E in the modular basis against the structure-sheaf element.
 
@@ -187,7 +185,7 @@ def check_weak(
     conductors are supplied) the structure side has no meaning, so its
     rows are marked skipped and only integrality of E is still examined.
     """
-    e_elt = E_element(cover, oracle=oracle, convention=convention, precision=precision)
+    e_elt = E_element(cover, oracle=oracle, convention=convention)
     image = decomposition_map(e_elt)
     structure = euler_char_structure_sheaf(cover) if cover.weakly_ramified else None
     rows = []
@@ -232,7 +230,6 @@ def check_restriction(
     sub,
     oracle: str = ORACLE_STICKELBERGER,
     convention: str = CONVENTION_STANDARD,
-    precision: int = None,
 ) -> VerificationReport:
     """Restriction of E to a subgroup against E of the intermediate cover.
 
@@ -244,9 +241,9 @@ def check_restriction(
     the correction terms therefore match place by place.
     """
     subcov = subcover_data(cover, sub)
-    e_big = E_element(cover, oracle=oracle, convention=convention, precision=precision)
+    e_big = E_element(cover, oracle=oracle, convention=convention)
     e_res = restrict(e_big, sub)
-    e_sub = E_element(subcov, oracle=oracle, convention=convention, precision=precision)
+    e_sub = E_element(subcov, oracle=oracle, convention=convention)
     rows = []
     e_ok = True
     for psi in sub.characters():
@@ -281,12 +278,12 @@ def check_restriction(
 # ---------------------------------------------------------------------------
 
 
-def _snapshot(cover: CoverDatum, convention: str, precision) -> dict:
+def _snapshot(cover: CoverDatum, convention: str) -> dict:
     """Every reported quantity of a datum, keyed by a stable label."""
     out = {}
     try:
         # lazy: the ledgers before the first incomplete character count
-        for ledger in epsilon_ledgers(cover, ORACLE_STICKELBERGER, convention, precision):
+        for ledger in epsilon_ledgers(cover, ORACLE_STICKELBERGER, convention):
             out["eps %s" % ledger.char_name] = ledger.total
     except IncompleteDatumError:
         pass
@@ -365,7 +362,6 @@ def _invariance_variants(cover: CoverDatum):
 def check_invariance(
     cover: CoverDatum,
     convention: str = CONVENTION_STANDARD,
-    precision: int = None,
 ) -> VerificationReport:
     """Reported quantities must not depend on presentation choices.
 
@@ -374,11 +370,11 @@ def check_invariance(
     point over every place at once and (c) regenerating all subgroup
     objects from their element sets.  Rows count exact mismatches.
     """
-    base = _snapshot(cover, convention, precision)
+    base = _snapshot(cover, convention)
     rows = []
     all_ok = True
     for label, variant in _invariance_variants(cover):
-        got = _snapshot(variant, convention, precision)
+        got = _snapshot(variant, convention)
         mismatched = sum(1 for k, v in base.items() if got.get(k) != v)
         mismatched += sum(1 for k in got if k not in base)
         ok = mismatched == 0
@@ -426,20 +422,15 @@ def full_verification(
     cover: CoverDatum,
     oracle: str = ORACLE_PADIC,
     convention: str = CONVENTION_STANDARD,
-    precision: int = None,
     include_restriction: bool = True,
 ):
     """Run every applicable check on one datum, returning the reports."""
     reports = []
     if cover.weakly_ramified:
-        reports.append(
-            check_strong(cover, oracle=oracle, convention=convention, precision=precision)
-        )
-    reports.append(check_weak(cover, convention=convention, precision=precision))
-    reports.append(check_invariance(cover, convention=convention, precision=precision))
+        reports.append(check_strong(cover, oracle=oracle, convention=convention))
+    reports.append(check_weak(cover, convention=convention))
+    reports.append(check_invariance(cover, convention=convention))
     if include_restriction and cover.g_cover is not None and cover.r == 1:
         for sub in _cyclic_subgroups(cover.group):
-            reports.append(
-                check_restriction(cover, sub, convention=convention, precision=precision)
-            )
+            reports.append(check_restriction(cover, sub, convention=convention))
     return reports

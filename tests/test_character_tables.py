@@ -148,7 +148,7 @@ def test_E_element_matches_the_per_character_ledgers(oracle, convention):
 @pytest.mark.parametrize("convention", CONVENTIONS)
 def test_snapshot_matches_the_per_character_functions(convention):
     for cover in _covers():
-        snap = verify._snapshot(cover, convention, None)
+        snap = verify._snapshot(cover, convention)
         expected = {}
         for chi in cover.characters():
             ledger = global_epsilon_valuation(

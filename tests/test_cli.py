@@ -85,6 +85,14 @@ def test_euler_rejects_bad_divisor(capsys):
     assert code == 2 and "input error" in err
 
 
+@pytest.mark.parametrize("divisor", ['{"x": "abc"}', '{"x": null}', '{"x": [1]}',
+                                     '{"x": 1.5}', '{"x": true}'])
+def test_euler_refuses_a_divisor_coefficient_that_is_not_an_integer(divisor, capsys):
+    code, _, err = run(capsys, "euler", "--builtin", "as:p=2,f=1/x", "--divisor", divisor)
+    assert code == 2 and "input error" in err
+    assert "Traceback" not in err
+
+
 def test_verify_strong(capsys):
     code, out, _ = run(capsys, "verify-strong", "--builtin", "as:p=2,f=1/x")
     assert code == 0
@@ -190,6 +198,13 @@ def test_huge_synthetic_index_and_count_are_refused_fast(capsys):
         assert code == 3 and "unsupported datum" in err
 
 
+def test_huge_prime_field_is_refused_fast(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "gauss", "--p", "1000000000000000009", "--char", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and "unsupported datum" in err
+
+
 def test_integrality_failure_exits_one(tmp_path, capsys):
     group = AbelianGroup((8,))
     full = group.full_subgroup()
@@ -264,6 +279,11 @@ def test_large_gauss_runs_in_bounded_memory():
     ["corpus", "--oracle", "padic"],
     ["corpus", "--precision", "4"],
     ["gauss", "--p", "5", "--char", "1", "--convention", "inverted"],
+    ["gauss", "--p", "5", "--char", "1", "--precision", "4"],
+    ["epsilon", "--builtin", "kummer:p=5,n=2,f=x(x-1)", "--precision", "4"],
+    ["verify-strong", "--builtin", "kummer:p=5,n=2,f=x(x-1)", "--precision", "4"],
+    ["verify-weak", "--builtin", "kummer:p=5,n=2,f=x(x-1)", "--precision", "4"],
+    ["verify-all", "--builtin", "kummer:p=5,n=2,f=x(x-1)", "--precision", "4"],
 ])
 def test_options_a_command_does_not_read_are_refused(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -57,7 +57,7 @@ def test_divisor_spec_validation():
     cov = kummer_cover(5, 2, [((0, 1), 1), ((4, 1), 1)])
     spec = DivisorSpec(cov, {"x": -1})
     assert spec.value(cov.places[0]) == -1 and spec.value("x+4") == 0
-    assert DivisorSpec.zero(cov).is_zero()
+    assert DivisorSpec.zero(cov).values == {}
     with pytest.raises(InvalidInputError):
         DivisorSpec(cov, {"y": 1})  # unknown place
     with pytest.raises(InvalidInputError):

@@ -8,13 +8,20 @@ from epschar.errors import PrecisionError
 from epschar.fields import PrimePower, make_field
 from epschar.cyclotomic import MultChar
 from epschar import padic
-from epschar.padic import (
-    WittRing,
-    default_lambda_precision,
-    padic_gauss_valuation,
-    teichmuller,
-)
+from epschar.padic import _witt_mul, padic_gauss_valuation, teichmuller
 from epschar.stickelberger import digit_sum_valuation
+
+
+def _lambda_precision(ctx):
+    """The lambda precision padic_gauss_valuation works at."""
+    return ctx.r * (ctx.p - 1) + 2
+
+
+def _witt_pow(ctx, pM, a, n):
+    result = ctx.one
+    for _ in range(n):
+        result = _witt_mul(ctx, pM, result, a)
+    return result
 
 
 def test_teichmuller_is_frobenius_fixed():
@@ -22,8 +29,8 @@ def test_teichmuller_is_frobenius_fixed():
         ctx = make_field(p, r)
         for x in ctx.elements():
             t = teichmuller(ctx, x, 4)
-            assert tuple(c % p for c in t.coeffs) == x  # reduces to x mod p
-            assert t.ring.pow(t, ctx.q) == t
+            assert tuple(c % p for c in t) == x  # reduces to x mod p
+            assert _witt_pow(ctx, p**4, t, ctx.q) == t
 
 
 def test_teichmuller_is_multiplicative():
@@ -35,16 +42,7 @@ def test_teichmuller_is_multiplicative():
             x, y = rng.choice(els), rng.choice(els)
             tx = teichmuller(ctx, x, 4)
             ty = teichmuller(ctx, y, 4)
-            # fresh rings per call, so compare the coefficient vectors
-            assert (tx * ty).coeffs == teichmuller(ctx, ctx.mul(x, y), 4).coeffs
-
-
-def test_witt_valuation():
-    ctx = make_field(3, 2)
-    ring = WittRing(ctx, 5)
-    assert ring.valuation(ring.element([9, 27])) == 2
-    assert ring.valuation(ring.element([0, 0])) == 5
-    assert ring.valuation(ring.one) == 0
+            assert _witt_mul(ctx, p**4, tx, ty) == teichmuller(ctx, ctx.mul(x, y), 4)
 
 
 def test_padic_gauss_known_values():
@@ -60,7 +58,9 @@ def test_padic_gauss_known_values():
 
 
 def test_padic_matches_digit_sum():
-    for p, r in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)]:
+    # every character of every field with p <= 7, r <= 3, at the one
+    # lambda precision the oracle works at
+    for p, r in [(p, r) for p in (2, 3, 5, 7) for r in (1, 2, 3)]:
         ctx = make_field(p, r)
         pp = PrimePower(p, r)
         for c in range(ctx.q - 1):
@@ -68,20 +68,23 @@ def test_padic_matches_digit_sum():
 
 
 def test_precision_floor_enforced():
-    ctx = make_field(5, 1)
-    with pytest.raises(PrecisionError):
-        padic_gauss_valuation(ctx, MultChar(ctx, 1), lambda_precision=2)
-    # at exactly the floor the maximal valuation (q-1 digits all p-1) resolves
-    floor = ctx.r * (ctx.p - 1) + 1
-    assert padic_gauss_valuation(ctx, MultChar(ctx, 3), lambda_precision=floor) == Fraction(3, 4)
+    # v_p(tau) <= r, so the floor r(p-1)+1 resolves every character, and
+    # a lambda precision equal to the valuation itself is refused
+    for p, r in [(2, 3), (3, 2), (5, 1)]:
+        ctx = make_field(p, r)
+        floor = r * (p - 1) + 1
+        for c in range(1, ctx.q - 1):
+            v = padic._gauss_valuation(ctx, c, floor)
+            assert v == padic_gauss_valuation(ctx, c)
+            with pytest.raises(PrecisionError):
+                padic._gauss_valuation(ctx, c, int(v * (p - 1)))
 
 
 def test_default_precision_covers_every_character():
     for p, r in [(3, 2), (7, 1)]:
         ctx = make_field(p, r)
-        n = default_lambda_precision(ctx)
         for c in range(ctx.q - 1):
-            v = padic_gauss_valuation(ctx, MultChar(ctx, c), lambda_precision=n)
+            v = padic_gauss_valuation(ctx, MultChar(ctx, c))
             assert 0 <= v <= ctx.r
 
 
@@ -102,10 +105,6 @@ def test_memoized_valuation_equals_a_fresh_one():
 def test_precision_error_is_raised_every_time_and_never_cached():
     ctx = make_field(5, 1)
     padic._gauss_valuation.cache_clear()
-    for _ in range(3):
-        with pytest.raises(PrecisionError):
-            padic_gauss_valuation(ctx, MultChar(ctx, 1), lambda_precision=2)
-    assert padic._gauss_valuation.cache_info().currsize == 0
     # a valuation the precision cannot resolve (3 >= 3) is refused each time
     for _ in range(2):
         with pytest.raises(PrecisionError):
@@ -114,13 +113,14 @@ def test_precision_error_is_raised_every_time_and_never_cached():
 
 
 def test_explicit_and_default_precision_agree():
+    # more lambda precision than the oracle works at changes no answer
     for p, r in [(2, 3), (3, 2), (5, 2), (7, 1)]:
         ctx = make_field(p, r)
-        n = default_lambda_precision(ctx)
+        n = _lambda_precision(ctx)
         for c in range(ctx.q - 1):
             v = padic_gauss_valuation(ctx, MultChar(ctx, c))
-            assert padic_gauss_valuation(ctx, MultChar(ctx, c), lambda_precision=n) == v
-            assert padic_gauss_valuation(ctx, MultChar(ctx, c), lambda_precision=n + 3) == v
+            assert padic._gauss_valuation(ctx, c, n) == v
+            assert padic._gauss_valuation(ctx, c, n + 3) == v
 
 
 def _stepwise_slot_constants(p, precision):
@@ -159,16 +159,15 @@ def test_padic_matches_digit_sum_at_large_primes():
 
 def test_gauss_table_teichmuller_rows_equal_the_multiplication_chain():
     # the fields of test_fields' log-table pin, at the precision that
-    # padic_gauss_valuation asks for by default, as the sweep does
+    # padic_gauss_valuation works at, as the sweep does
     fields = [(p, r) for p in (2, 3, 5, 7) for r in (1, 2, 3)] + [(2, 8), (3, 8), (7, 4)]
     for p, r in fields:
         ctx = make_field(p, r)
-        precision = default_lambda_precision(ctx) // (p - 1) + 2
-        ring = WittRing(ctx, precision)
+        precision = _lambda_precision(ctx) // (p - 1) + 2
         omega = teichmuller(ctx, ctx.generator, precision)
-        t = ring.one
-        rows = [t.coeffs]
+        t = ctx.one
+        rows = [t]
         for _ in range(ctx.q - 2):
-            t = ring.mul(t, omega)
-            rows.append(t.coeffs)
+            t = _witt_mul(ctx, p**precision, t, omega)
+            rows.append(t)
         assert padic._gauss_tables(ctx, precision)[1] == tuple(rows), (p, r, precision)
