@@ -3,7 +3,7 @@
 For each character chi of the cover group, the valuation of the global
 epsilon constant decomposes as r (g_base - 1) plus one local term per
 ramified place: zero where chi is unramified, a Gauss sum valuation
-where it is tame, and deg(q) (cd - 1) where it is wild.  The script
+where it is tame, and deg(q) cd / 2 where it is wild.  The script
 prints the full ledger for a tame quartic cover and a wild cover,
 computing every tame term through both available oracles.
 """

@@ -25,7 +25,6 @@ from .errors import (
     NotWeaklyRamifiedError,
     PrecisionError,
     ReducibleCoverError,
-    TamenessError,
     UnsupportedCoverError,
 )
 from .numutil import (
@@ -100,8 +99,6 @@ from .corpus import (
     synthetic_corpus,
 )
 from .epsilon import (
-    CONVENTION_INVERTED,
-    CONVENTION_STANDARD,
     E_element,
     EpsilonLedger,
     LocalEpsilonVal,

@@ -42,7 +42,6 @@ from .errors import (
     NotWeaklyRamifiedError,
     PrecisionError,
     ReducibleCoverError,
-    TamenessError,
     UnsupportedCoverError,
 )
 from .fields import PrimePower, make_field
@@ -63,13 +62,7 @@ from .corpus import (
     mixed_synthetic_example,
     synthetic_corpus,
 )
-from .epsilon import (
-    CONVENTIONS,
-    CONVENTION_STANDARD,
-    ORACLE_PADIC,
-    ORACLE_STICKELBERGER,
-    global_epsilon_valuation,
-)
+from .epsilon import ORACLE_PADIC, ORACLE_STICKELBERGER, global_epsilon_valuation
 from .euler import DivisorSpec, multiplicity_closed, multiplicity_direct, psi_structure
 from .verify import check_strong, check_weak, full_verification
 
@@ -83,7 +76,6 @@ _PARSE_ERRORS = (
 )
 _UNSUPPORTED_ERRORS = (
     UnsupportedCoverError,
-    TamenessError,
     NotWeaklyRamifiedError,
     ReducibleCoverError,
     ConstantExtensionError,
@@ -295,14 +287,11 @@ def _cmd_gauss(args) -> int:
 def _cmd_epsilon(args) -> int:
     cover = _load_cover(args)
     oracles = [args.oracle] if args.oracle != "both" else [ORACLE_STICKELBERGER, ORACLE_PADIC]
-    lines = ["epsilon valuations: %s" % cover.summary(), "convention: %s" % args.convention]
+    lines = ["epsilon valuations: %s" % cover.summary(), "convention: standard"]
     chars = []
     status = 0
     for chi in cover.characters():
-        ledgers = {
-            oracle: global_epsilon_valuation(cover, chi, oracle=oracle, convention=args.convention)
-            for oracle in oracles
-        }
+        ledgers = {oracle: global_epsilon_valuation(cover, chi, oracle=oracle) for oracle in oracles}
         first = ledgers[oracles[0]]
         totals = {oracle: ledgers[oracle].total for oracle in oracles}
         if len(set(totals.values())) > 1:
@@ -334,7 +323,7 @@ def _cmd_epsilon(args) -> int:
         lines,
         {
             "cover": cover.summary(),
-            "convention": args.convention,
+            "convention": "standard",
             "oracles": oracles,
             "characters": chars,
         },
@@ -424,7 +413,7 @@ def _run_reports(args, reports) -> int:
 def _cmd_verify_strong(args) -> int:
     cover = _load_cover(args)
     oracles = [args.oracle] if args.oracle != "both" else [ORACLE_PADIC, ORACLE_STICKELBERGER]
-    reports = [check_strong(cover, oracle=oracle, convention=args.convention) for oracle in oracles]
+    reports = [check_strong(cover, oracle=oracle) for oracle in oracles]
     return _run_reports(args, reports)
 
 
@@ -433,14 +422,16 @@ def _cmd_verify_weak(args) -> int:
     oracles = (
         [args.oracle] if args.oracle != "both" else [ORACLE_STICKELBERGER, ORACLE_PADIC]
     )
-    reports = [check_weak(cover, oracle=oracle, convention=args.convention) for oracle in oracles]
+    reports = [check_weak(cover, oracle=oracle) for oracle in oracles]
     return _run_reports(args, reports)
 
 
 def _cmd_verify_all(args) -> int:
+    if args.oracle == "both":
+        # full_verification takes one oracle, for its strong report
+        raise InvalidInputError("verify-all runs one oracle: pass --oracle padic or stickelberger")
     cover = _load_cover(args)
-    oracle = ORACLE_PADIC if args.oracle == "both" else args.oracle
-    reports = full_verification(cover, oracle=oracle, convention=args.convention)
+    reports = full_verification(cover, oracle=args.oracle)
     return _run_reports(args, reports)
 
 
@@ -481,7 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # argparse parents share action objects, so every subcommand gets a
     # fresh copy; a shared one would let set_defaults leak across commands
-    def common(oracle_default=None, convention=False):
+    def common(oracle_default=None):
         par = argparse.ArgumentParser(add_help=False)
         par.add_argument(
             "--format", choices=("table", "json"), default="table", help="output format"
@@ -492,13 +483,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 choices=(ORACLE_STICKELBERGER, ORACLE_PADIC, "both"),
                 default=oracle_default,
                 help="Gauss-sum valuation oracle (default: %(default)s)",
-            )
-        if convention:
-            par.add_argument(
-                "--convention",
-                choices=CONVENTIONS,
-                default=CONVENTION_STANDARD,
-                help="epsilon orientation: evaluate local data at chi or its inverse",
             )
         return par
 
@@ -516,7 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     epsilon = sub.add_parser(
         "epsilon",
-        parents=[common("both", convention=True), cover_in()],
+        parents=[common("both"), cover_in()],
         help="per-character epsilon ledgers",
     )
     epsilon.set_defaults(func=_cmd_epsilon)
@@ -535,21 +519,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     strong = sub.add_parser(
         "verify-strong",
-        parents=[common(ORACLE_PADIC, convention=True), cover_in()],
+        parents=[common(ORACLE_PADIC), cover_in()],
         help="check the valuation formula",
     )
     strong.set_defaults(func=_cmd_verify_strong)
 
     weak = sub.add_parser(
         "verify-weak",
-        parents=[common(ORACLE_STICKELBERGER, convention=True), cover_in()],
+        parents=[common(ORACLE_STICKELBERGER), cover_in()],
         help="check the Euler characteristic formula",
     )
     weak.set_defaults(func=_cmd_verify_weak)
 
     verify_all = sub.add_parser(
         "verify-all",
-        parents=[common(ORACLE_PADIC, convention=True), cover_in()],
+        parents=[common(ORACLE_PADIC), cover_in()],
         help="every applicable check",
     )
     verify_all.set_defaults(func=_cmd_verify_all)

@@ -625,7 +625,7 @@ def synthetic_cover(group, p, r, g_base, places, weakly_ramified=True, compute_g
     return cover
 
 
-def random_weakly_ramified_cover(rng, max_places=3):
+def random_weakly_ramified_cover(rng):
     """Random synthetic weakly ramified datum for sweep tests.
 
     Inertia is cyclic of prime-to-p order with a faithful cotangent
@@ -669,7 +669,7 @@ def random_weakly_ramified_cover(rng, max_places=3):
         return inertia
 
     places = []
-    for _ in range(rng.randrange(max_places + 1)):
+    for _ in range(rng.randrange(4)):  # zero to three place draws
         wild_possible = group.order % p == 0
         make_wild = wild_possible and rng.random() < 0.4
         if make_wild:

@@ -33,10 +33,6 @@ class GroupMismatchError(EpscharError, ValueError):
     """Two K-theory elements or characters live over different groups."""
 
 
-class TamenessError(EpscharError, ValueError):
-    """A construction requires tameness that the input violates."""
-
-
 class ReducibleCoverError(EpscharError, ValueError):
     """The requested cover equation does not define an irreducible curve."""
 

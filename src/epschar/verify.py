@@ -37,13 +37,7 @@ from .groups import (
     restrict,
 )
 from .covers import CoverDatum, PlaceDatum, subcover_data
-from .epsilon import (
-    CONVENTION_STANDARD,
-    ORACLE_PADIC,
-    ORACLE_STICKELBERGER,
-    E_element,
-    epsilon_ledgers,
-)
+from .epsilon import ORACLE_PADIC, ORACLE_STICKELBERGER, E_element, epsilon_ledgers
 from .euler import (
     DivisorSpec,
     euler_char_structure_sheaf,
@@ -117,6 +111,10 @@ class VerificationReport:
         }
 
 
+# every epsilon valuation is normalised with geometric Frobenius (see epsilon)
+_NORMALISATION_NOTE = "convention=standard"
+
+
 def _fmt(x):
     return None if x is None else str(Fraction(x))
 
@@ -124,11 +122,7 @@ def _fmt(x):
 # ---------------------------------------------------------------------------
 
 
-def check_strong(
-    cover: CoverDatum,
-    oracle: str = ORACLE_PADIC,
-    convention: str = CONVENTION_STANDARD,
-) -> VerificationReport:
+def check_strong(cover: CoverDatum, oracle: str = ORACLE_PADIC) -> VerificationReport:
     """Per-character comparison of the two sides of the valuation formula.
 
     LHS is -v_p of the global epsilon constant, by default through the
@@ -145,7 +139,7 @@ def check_strong(
     rows = []
     all_eq = True
     all_int = True
-    for ledger in epsilon_ledgers(cover, oracle, convention):
+    for ledger in epsilon_ledgers(cover, oracle):
         chi = ledger.character
         lhs = -ledger.total
         euler_term = multiplicity_closed(cover, d_wild, chi)
@@ -170,22 +164,18 @@ def check_strong(
         cover=cover.summary(),
         rows=tuple(rows),
         flags={"strong_ok": all_eq, "integral_ok": all_int},
-        notes=("oracle=%s" % oracle, "convention=%s" % convention),
+        notes=("oracle=%s" % oracle, _NORMALISATION_NOTE),
     )
 
 
-def check_weak(
-    cover: CoverDatum,
-    oracle: str = ORACLE_STICKELBERGER,
-    convention: str = CONVENTION_STANDARD,
-) -> VerificationReport:
+def check_weak(cover: CoverDatum, oracle: str = ORACLE_STICKELBERGER) -> VerificationReport:
     """Image of E in the modular basis against the structure-sheaf element.
 
     On a datum that is not weakly ramified (possible when per-character
     conductors are supplied) the structure side has no meaning, so its
     rows are marked skipped and only integrality of E is still examined.
     """
-    e_elt = E_element(cover, oracle=oracle, convention=convention)
+    e_elt = E_element(cover, oracle=oracle)
     image = decomposition_map(e_elt)
     structure = euler_char_structure_sheaf(cover) if cover.weakly_ramified else None
     rows = []
@@ -199,7 +189,7 @@ def check_weak(
         ok = lhs == rhs
         weak_ok = weak_ok and ok
         rows.append(ReportRow(label=char_label(theta), lhs=lhs, rhs=rhs, passed=ok))
-    notes = ["oracle=%s" % oracle, "convention=%s" % convention]
+    notes = ["oracle=%s" % oracle, _NORMALISATION_NOTE]
     if structure is None:
         notes.append("structure side skipped: datum is not weakly ramified")
     return VerificationReport(
@@ -226,10 +216,7 @@ def _formula_rhs_element(cover: CoverDatum) -> K0Element:
 
 
 def check_restriction(
-    cover: CoverDatum,
-    sub,
-    oracle: str = ORACLE_STICKELBERGER,
-    convention: str = CONVENTION_STANDARD,
+    cover: CoverDatum, sub, oracle: str = ORACLE_STICKELBERGER
 ) -> VerificationReport:
     """Restriction of E to a subgroup against E of the intermediate cover.
 
@@ -241,9 +228,9 @@ def check_restriction(
     the correction terms therefore match place by place.
     """
     subcov = subcover_data(cover, sub)
-    e_big = E_element(cover, oracle=oracle, convention=convention)
+    e_big = E_element(cover, oracle=oracle)
     e_res = restrict(e_big, sub)
-    e_sub = E_element(subcov, oracle=oracle, convention=convention)
+    e_sub = E_element(subcov, oracle=oracle)
     rows = []
     e_ok = True
     for psi in sub.characters():
@@ -278,12 +265,12 @@ def check_restriction(
 # ---------------------------------------------------------------------------
 
 
-def _snapshot(cover: CoverDatum, convention: str) -> dict:
+def _snapshot(cover: CoverDatum) -> dict:
     """Every reported quantity of a datum, keyed by a stable label."""
     out = {}
     try:
         # lazy: the ledgers before the first incomplete character count
-        for ledger in epsilon_ledgers(cover, ORACLE_STICKELBERGER, convention):
+        for ledger in epsilon_ledgers(cover, ORACLE_STICKELBERGER):
             out["eps %s" % ledger.char_name] = ledger.total
     except IncompleteDatumError:
         pass
@@ -359,10 +346,7 @@ def _invariance_variants(cover: CoverDatum):
     return variants
 
 
-def check_invariance(
-    cover: CoverDatum,
-    convention: str = CONVENTION_STANDARD,
-) -> VerificationReport:
+def check_invariance(cover: CoverDatum) -> VerificationReport:
     """Reported quantities must not depend on presentation choices.
 
     Variants rerun every formula path after (a) twisting one place's
@@ -370,11 +354,11 @@ def check_invariance(
     point over every place at once and (c) regenerating all subgroup
     objects from their element sets.  Rows count exact mismatches.
     """
-    base = _snapshot(cover, convention)
+    base = _snapshot(cover)
     rows = []
     all_ok = True
     for label, variant in _invariance_variants(cover):
-        got = _snapshot(variant, convention)
+        got = _snapshot(variant)
         mismatched = sum(1 for k, v in base.items() if got.get(k) != v)
         mismatched += sum(1 for k in got if k not in base)
         ok = mismatched == 0
@@ -418,19 +402,14 @@ def _cyclic_subgroups(group):
     return sorted(subs, key=lambda s: (s.order, s.elements()))
 
 
-def full_verification(
-    cover: CoverDatum,
-    oracle: str = ORACLE_PADIC,
-    convention: str = CONVENTION_STANDARD,
-    include_restriction: bool = True,
-):
+def full_verification(cover: CoverDatum, oracle: str = ORACLE_PADIC):
     """Run every applicable check on one datum, returning the reports."""
     reports = []
     if cover.weakly_ramified:
-        reports.append(check_strong(cover, oracle=oracle, convention=convention))
-    reports.append(check_weak(cover, convention=convention))
-    reports.append(check_invariance(cover, convention=convention))
-    if include_restriction and cover.g_cover is not None and cover.r == 1:
+        reports.append(check_strong(cover, oracle=oracle))
+    reports.append(check_weak(cover))
+    reports.append(check_invariance(cover))
+    if cover.g_cover is not None and cover.r == 1:
         for sub in _cyclic_subgroups(cover.group):
-            reports.append(check_restriction(cover, sub, convention=convention))
+            reports.append(check_restriction(cover, sub))
     return reports

@@ -15,7 +15,6 @@ from epschar import verify
 from epschar.corpus import constructed_corpus, mixed_synthetic_example, synthetic_corpus
 from epschar.covers import synthetic_cover
 from epschar.epsilon import (
-    CONVENTIONS,
     ORACLE_STICKELBERGER,
     ORACLES,
     E_element,
@@ -115,14 +114,10 @@ def _psi_per_theta(cover, D):
 
 
 @pytest.mark.parametrize("oracle", ORACLES)
-@pytest.mark.parametrize("convention", CONVENTIONS)
-def test_tabled_ledgers_match_the_per_character_ledgers(oracle, convention):
+def test_tabled_ledgers_match_the_per_character_ledgers(oracle):
     for cover in _covers() + (_overridden_cover(),):
-        tabled = list(epsilon_ledgers(cover, oracle, convention))
-        per_char = [
-            global_epsilon_valuation(cover, chi, oracle=oracle, convention=convention)
-            for chi in cover.characters()
-        ]
+        tabled = list(epsilon_ledgers(cover, oracle))
+        per_char = [global_epsilon_valuation(cover, chi, oracle=oracle) for chi in cover.characters()]
         assert tabled == per_char, cover.summary()
 
 
@@ -136,24 +131,20 @@ def test_tabled_multiplicities_match_the_per_character_routes():
 
 
 @pytest.mark.parametrize("oracle", ORACLES)
-@pytest.mark.parametrize("convention", CONVENTIONS)
-def test_E_element_matches_the_per_character_ledgers(oracle, convention):
+def test_E_element_matches_the_per_character_ledgers(oracle):
     for cover in _covers():
-        e_elt = E_element(cover, oracle=oracle, convention=convention)
+        e_elt = E_element(cover, oracle=oracle)
         for chi in cover.characters():
-            ledger = global_epsilon_valuation(cover, chi, oracle=oracle, convention=convention)
+            ledger = global_epsilon_valuation(cover, chi, oracle=oracle)
             assert e_elt.coefficient(chi) == -ledger.total, (cover.summary(), chi)
 
 
-@pytest.mark.parametrize("convention", CONVENTIONS)
-def test_snapshot_matches_the_per_character_functions(convention):
+def test_snapshot_matches_the_per_character_functions():
     for cover in _covers():
-        snap = verify._snapshot(cover, convention)
+        snap = verify._snapshot(cover)
         expected = {}
         for chi in cover.characters():
-            ledger = global_epsilon_valuation(
-                cover, chi, oracle=ORACLE_STICKELBERGER, convention=convention
-            )
+            ledger = global_epsilon_valuation(cover, chi, oracle=ORACLE_STICKELBERGER)
             expected["eps %s" % char_label(chi)] = ledger.total
         d_wild = DivisorSpec.wild_canonical(cover)
         psi = _psi_per_theta(cover, d_wild)

@@ -59,14 +59,42 @@ def test_epsilon_json(capsys):
     assert kinds == {"x": "tame", "x+4": "tame"}
 
 
-def test_epsilon_inverted_convention(capsys):
-    code, out, _ = run(capsys, "epsilon", "--builtin", "kummer:p=5,n=4,f=x^2(x+3)",
-                       "--convention", "inverted", "--format", "json")
+def test_epsilon_wild_conductor_above_two(tmp_path, capsys):
+    # y^3 - y = 1/x^2 over F_3: Z/3, one degree-1 place of conductor 3
+    group = AbelianGroup((3,))
+    full = group.full_subgroup()
+    chi = group.character((1,))
+    q = dict(label="q", degree=1, inertia=full, decomposition=full,
+             tame_char=full.trivial_character(), conductor_overrides={chi: 3, chi**2: 3})
+    path = tmp_path / "wild.json"
+    path.write_text(cover_to_json(synthetic_cover(group, 3, 1, 0, [q], weakly_ramified=False)))
+    code, out, _ = run(capsys, "epsilon", "--input", str(path), "--format", "json")
     assert code == 0
     obj = json.loads(out)
-    totals = {c["char"]: c["totals"]["stickelberger"] for c in obj["characters"]}
-    # inverted evaluation swaps the chi / chi^3 ledger totals
-    assert totals["chi(1)"] == "1" and totals["chi(3)"] == "0"
+    assert obj["convention"] == "standard"
+    ledgers = {c["char"]: c for c in obj["characters"]}
+    # the local term is deg cond / 2 = 3/2, so v_p(epsilon) = -1 + 3/2 = 1/2
+    for name in ("chi(1)", "chi(2)"):
+        assert ledgers[name]["locals"] == [
+            {"place": "q", "kind": "wild", "valuation": "3/2", "gauss_index": 0}
+        ]
+        assert ledgers[name]["totals"] == {"stickelberger": "1/2", "padic": "1/2"}
+    assert ledgers["chi(0)"]["totals"] == {"stickelberger": "-1", "padic": "-1"}
+
+
+def test_epsilon_refuses_a_character_both_wild_and_tame(tmp_path, capsys):
+    # Z/6 over F_3 with all of it as inertia: chi(1) and chi(5) are
+    # nontrivial on the wild Z/3 and on the tame Z/2
+    group = AbelianGroup((6,))
+    full = group.full_subgroup()
+    conductors = {group.character((a,)): 3 for a in (1, 2, 4, 5)}
+    q = dict(label="q", degree=1, inertia=full, decomposition=full,
+             tame_char=group.character((3,)).restrict(full), conductor_overrides=conductors)
+    path = tmp_path / "mixed.json"
+    path.write_text(cover_to_json(synthetic_cover(group, 3, 1, 0, [q], weakly_ramified=False)))
+    code, _, err = run(capsys, "epsilon", "--input", str(path))
+    assert code == 3 and "unsupported datum" in err
+    assert "wild and the tame part" in err
 
 
 def test_euler_divisor(capsys):
@@ -164,6 +192,10 @@ def test_exit_codes(tmp_path, capsys):
 
     code, _, err = run(capsys, "epsilon", "--builtin", "kummer:p=5,n=2,f=x^2")
     assert code == 3 and "unsupported datum" in err
+
+    # verify-all runs one oracle; "both" is refused, not narrowed to one
+    code, out, err = run(capsys, "verify-all", "--builtin", "mixed", "--oracle", "both")
+    assert code == 2 and "input error" in err and out == ""
 
 
 def test_cover_json_exit_codes_match_the_dsl(tmp_path, capsys):
@@ -284,6 +316,10 @@ def test_large_gauss_runs_in_bounded_memory():
     ["verify-strong", "--builtin", "kummer:p=5,n=2,f=x(x-1)", "--precision", "4"],
     ["verify-weak", "--builtin", "kummer:p=5,n=2,f=x(x-1)", "--precision", "4"],
     ["verify-all", "--builtin", "kummer:p=5,n=2,f=x(x-1)", "--precision", "4"],
+    ["epsilon", "--builtin", "kummer:p=5,n=2,f=x(x-1)", "--convention", "inverted"],
+    ["verify-strong", "--builtin", "kummer:p=5,n=2,f=x(x-1)", "--convention", "inverted"],
+    ["verify-weak", "--builtin", "kummer:p=5,n=2,f=x(x-1)", "--convention", "inverted"],
+    ["verify-all", "--builtin", "kummer:p=5,n=2,f=x(x-1)", "--convention", "inverted"],
 ])
 def test_options_a_command_does_not_read_are_refused(argv, capsys):
     with pytest.raises(SystemExit) as exc:

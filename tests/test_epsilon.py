@@ -6,8 +6,6 @@ import pytest
 from epschar.corpus import constructed_corpus, mixed_synthetic_example, synthetic_corpus
 from epschar.covers import PlaceDatum, artin_schreier_cover, kummer_cover, synthetic_cover
 from epschar.epsilon import (
-    CONVENTION_INVERTED,
-    CONVENTION_STANDARD,
     ORACLE_PADIC,
     ORACLE_STICKELBERGER,
     E_element,
@@ -67,19 +65,6 @@ def test_global_ledger_asymmetric_quartic():
     assert e.is_integral()
 
 
-def test_inverted_convention_evaluates_inverse():
-    cov = kummer_cover(5, 4, [((0, 1), 2), ((3, 1), 1)])
-    for k in range(4):
-        chi = cov.group.character((k,))
-        inv = global_epsilon_valuation(cov, chi, convention=CONVENTION_INVERTED)
-        std = global_epsilon_valuation(cov, chi.inverse(), convention=CONVENTION_STANDARD)
-        assert inv.total == std.total
-    e_inv = E_element(cov, convention=CONVENTION_INVERTED)
-    e_std = E_element(cov)
-    for chi in cov.characters():
-        assert e_inv.coefficient(chi) == e_std.coefficient(chi.inverse())
-
-
 def test_oracles_agree():
     covers = constructed_corpus()[:6] + [
         kummer_cover(5, 4, [((0, 1), 2), ((3, 1), 1)]),
@@ -110,7 +95,8 @@ def test_incomplete_wild_datum():
         local_epsilon(cov, cov.places[0], chi)
     q["conductor_overrides"] = {chi: 3, chi**2: 3}
     cov = synthetic_cover(group, 3, 1, 0, [q], weakly_ramified=False)
-    assert local_epsilon(cov, cov.places[0], chi).valuation == 2
+    # deg cond / 2; the L-function of y^3 - y = 1/x^2 has v_p(epsilon) = 1/2
+    assert local_epsilon(cov, cov.places[0], chi).valuation == Fraction(3, 2)
 
 
 def test_trivial_group_cover():
@@ -121,10 +107,8 @@ def test_trivial_group_cover():
     assert len(e.coeffs) == 1
 
 
-def test_unknown_oracle_and_convention():
+def test_unknown_oracle():
     cov = kummer_cover(5, 2, [((0, 1), 1), ((4, 1), 1)])
     chi = cov.group.character((1,))
     with pytest.raises(InvalidInputError):
         global_epsilon_valuation(cov, chi, oracle="guesswork")
-    with pytest.raises(InvalidInputError):
-        global_epsilon_valuation(cov, chi, convention="sideways")
