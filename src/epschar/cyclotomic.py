@@ -2,15 +2,22 @@
 
 Elements are integer coefficient vectors of length phi(m) on the power
 basis 1, zeta, ..., zeta^(phi(m)-1), fully reduced modulo the m-th
-cyclotomic polynomial, so equality is tuple equality.  Multiplication
-folds exponents modulo m (zeta^m = 1); the reduction then folds the top
-half onto the bottom half with a minus sign when m is even (zeta^(m/2)
-= -1) and long-divides by the monic Phi_m, all in Python integers.
+cyclotomic polynomial, so equality is tuple equality.  A product is one
+big-integer multiply by Kronecker substitution: each vector is packed
+into an int with 64-bit slots, the two ints are multiplied, and the
+slots are read back as the coefficients.  While phi(m) <= 24, or while a
+coefficient of the product could reach 2^63, it is a double loop over
+the coefficients instead.  Either way the exponents are folded modulo m
+(zeta^m = 1); the reduction then folds the top half onto the bottom half
+with a minus sign when m is even (zeta^(m/2) = -1) and long-divides by
+the monic Phi_m, all in Python integers.
 """
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
+from sys import byteorder
 import cmath
 
 from .errors import DomainError
@@ -55,6 +62,24 @@ def _reducer(m: int):
 
 def euler_phi(m: int) -> int:
     return _reducer(m)[0]
+
+
+# up to this phi(m) the double loop is faster than packing
+_LOOP_MAX_PHI = 24
+_HALF_SLOT = 1 << 63
+
+
+def _pack(coeffs) -> int:
+    """sum c_k 2^(64k), as the packed positive part minus the packed negative part."""
+    pos = array("Q", [c if c > 0 else 0 for c in coeffs]).tobytes()
+    neg = array("Q", [-c if c < 0 else 0 for c in coeffs]).tobytes()
+    return int.from_bytes(pos, byteorder) - int.from_bytes(neg, byteorder)
+
+
+@lru_cache(maxsize=None)
+def _slot_offset(n: int) -> int:
+    """sum 2^63 2^(64k) over k < n."""
+    return int.from_bytes(array("Q", [_HALF_SLOT]).tobytes() * n, byteorder)
 
 
 @dataclass(frozen=True)
@@ -125,12 +150,23 @@ class CyclotomicInt:
             return CyclotomicInt(self.order, tuple(other * a for a in self.coeffs))
         other = self._match(other)
         m = self.order
+        xs, ys = self.coeffs, other.coeffs
         vec = [0] * m
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        vec[(i + j) % m] += a * b
+        # a product coefficient is a sum of at most phi terms a_i b_j
+        bound = len(xs) * max(map(abs, xs)) * max(map(abs, ys)) if len(xs) > _LOOP_MAX_PHI else 0
+        if 0 < bound < _HALF_SLOT:
+            # Kronecker substitution at x = 2^64: slot k of the packed
+            # product plus the offset is coefficient k plus 2^63
+            n = 2 * len(xs) - 1
+            packed = (_pack(xs) * _pack(ys) + _slot_offset(n)).to_bytes(8 * n, byteorder)
+            for k, c in enumerate(array("Q", packed)):
+                vec[k % m] += c - _HALF_SLOT
+        else:
+            for i, a in enumerate(xs):
+                if a:
+                    for j, b in enumerate(ys):
+                        if b:
+                            vec[(i + j) % m] += a * b
         return CyclotomicInt.from_exponent_vector(m, vec)
 
     def galois_twist(self, t: int) -> "CyclotomicInt":

@@ -125,6 +125,7 @@ def global_epsilon_valuation(
     oracle: str = ORACLE_STICKELBERGER,
 ) -> EpsilonLedger:
     """Ledger of the valuation of the global epsilon constant of chi."""
+    _check_oracle(oracle)
     locals_ = tuple(local_epsilon(cover, q, chi, oracle=oracle) for q in cover.places)
     return EpsilonLedger(chi, Fraction(cover.r * (cover.g_base - 1)), locals_)
 
@@ -139,6 +140,7 @@ def epsilon_ledgers(cover: CoverDatum, oracle: str = ORACLE_STICKELBERGER):
     a caller sees every ledger before the first IncompleteDatumError or
     UnsupportedCoverError.
     """
+    _check_oracle(oracle)
     base_term = Fraction(cover.r * (cover.g_base - 1))
     tables = [{} for _ in cover.places]
     for chi in cover.characters():

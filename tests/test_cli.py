@@ -38,6 +38,15 @@ def test_gauss_json(capsys):
     assert abs(obj["abs2"] - 25.0) < 1e-6
 
 
+def test_gauss_float_note_past_q_2048(capsys):
+    code, out, _ = run(capsys, "gauss", "--p", "3", "--r", "8", "--char", "1",
+                       "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["q"] == 6561 and obj["agree"] is True
+    assert abs(obj["abs2"] - 6561) < 1e-6 * 6561
+
+
 def test_gauss_single_oracle(capsys):
     code, out, _ = run(capsys, "gauss", "--p", "7", "--char", "3",
                        "--oracle", "stickelberger", "--format", "json")
@@ -289,7 +298,8 @@ def _cap_address_space():
 
 
 def test_large_gauss_runs_in_bounded_memory():
-    # m = lcm(211, 210) = 44310; the |tau|^2 note reduces tau in Z[zeta_m]
+    # the p-adic oracle and the |tau|^2 float note are both O(q); neither
+    # builds Phi_m for m = lcm(211, 210) = 44310
     proc = subprocess.run(
         [sys.executable, "-m", "epschar.cli", "gauss", "--p", "211", "--char", "1",
          "--oracle", "padic", "--format", "json"],

@@ -2,10 +2,13 @@ import random
 
 import pytest
 
+from epschar import cyclotomic
 from epschar.errors import DomainError
 from epschar.cyclotomic import (
+    _LOOP_MAX_PHI,
     CyclotomicInt,
     MultChar,
+    _crt_unit,
     complex_abs2,
     cyclotomic_polynomial,
     euler_phi,
@@ -191,3 +194,92 @@ def test_reduction_matches_dense_reference(m):
 def test_reduction_refuses_a_wrong_length():
     with pytest.raises(DomainError):
         CyclotomicInt.from_exponent_vector(6, [1] * 5)
+
+
+# -- pin: the packed product against the double loop ---------------------------
+
+
+def _double_loop_mul(x, y):
+    """x * y by the schoolbook double loop over the power basis, then reduced."""
+    m = x.order
+    vec = [0] * m
+    for i, a in enumerate(x.coeffs):
+        if a:
+            for j, b in enumerate(y.coeffs):
+                if b:
+                    vec[(i + j) % m] += a * b
+    return CyclotomicInt.from_exponent_vector(m, vec)
+
+
+def _assert_products_match(x, y):
+    assert (x * y).coeffs == _double_loop_mul(x, y).coeffs
+
+
+@pytest.mark.parametrize("p, r", [(p, r) for p in (2, 3, 5, 7) for r in (1, 2, 3)])
+def test_gauss_products_match_the_double_loop(p, r):
+    ctx = make_field(p, r)
+    m = gauss_order(ctx)
+    # tau(chi) -> tau(chi^(-1)), the twist gauss_product_check applies
+    t = _crt_unit(m, p, ctx.q - 1)
+    indices = range(ctx.q - 1)
+    if ctx.q == 343:
+        # the reference loop takes about 30 ms a product at phi(2394) = 648
+        indices = sorted({0, 1, 171, 340, *range(2, 342, 37)})
+    for c in indices:
+        tau = gauss_sum(ctx, MultChar(ctx, c))
+        _assert_products_match(tau, tau.galois_twist(t))
+        _assert_products_match(tau, tau)
+
+
+def _random_element(m, rng, scale):
+    return CyclotomicInt(m, tuple(rng.randrange(-scale, scale + 1) for _ in range(euler_phi(m))))
+
+
+def test_random_products_match_the_double_loop_on_both_sides_of_the_threshold():
+    rng = random.Random(18)
+    orders = [m for m in range(1, 120) if abs(euler_phi(m) - _LOOP_MAX_PHI) <= 12]
+    assert min(map(euler_phi, orders)) <= _LOOP_MAX_PHI < max(map(euler_phi, orders))
+    for m in orders:
+        zero = CyclotomicInt.from_int(m, 0)
+        for scale in (1, 9, 2**20, 2**40):
+            x, y = _random_element(m, rng, scale), _random_element(m, rng, scale)
+            _assert_products_match(x, y)
+        assert x * zero == zero * x == _double_loop_mul(x, zero) == zero
+
+
+def test_products_at_the_edge_of_a_slot_match_the_double_loop():
+    # the middle coefficient of the product is phi * a * b: just below 2^63,
+    # where it still fits a 64-bit slot offset by 2^63, and just below 2^64
+    m = 97
+    phi = euler_phi(m)
+    a = 2**40 + 3
+    for top in (2**63, 2**64):
+        b = (top - 1) // (phi * a)
+        for sx, sy in ((1, 1), (1, -1), (-1, -1)):
+            x = CyclotomicInt(m, (sx * a,) * phi)
+            y = CyclotomicInt(m, (sy * b,) * phi)
+            _assert_products_match(x, y)
+
+
+def test_products_past_the_slot_width_take_the_double_loop(monkeypatch):
+    packed = []
+    real_pack = cyclotomic._pack
+
+    def counting_pack(coeffs):
+        packed.append(coeffs)
+        return real_pack(coeffs)
+
+    monkeypatch.setattr(cyclotomic, "_pack", counting_pack)
+    rng = random.Random(63)
+    m = 97
+    small = _random_element(m, rng, 9)
+    _assert_products_match(small, small)
+    assert packed, "a product above the size threshold should be packed"
+    packed.clear()
+    for scale in (2**62, 2**70):
+        x, y = _random_element(m, rng, scale), _random_element(m, rng, scale)
+        _assert_products_match(x, y)
+        _assert_products_match(x, small)
+    x = _random_element(13, rng, 9)
+    _assert_products_match(x, x)
+    assert not packed

@@ -11,11 +11,13 @@ from epschar.epsilon import (
     E_element,
     EpsilonLedger,
     LocalEpsilonVal,
+    epsilon_ledgers,
     global_epsilon_valuation,
     local_epsilon,
 )
 from epschar.errors import IncompleteDatumError, InvalidInputError
 from epschar.groups import AbelianGroup, char_label
+from epschar.verify import check_strong, check_weak
 
 
 def test_local_kinds_and_values():
@@ -112,3 +114,17 @@ def test_unknown_oracle():
     chi = cov.group.character((1,))
     with pytest.raises(InvalidInputError):
         global_epsilon_valuation(cov, chi, oracle="guesswork")
+
+
+def test_unknown_oracle_is_refused_without_ramified_places():
+    # no place asks an oracle for a local term, so the name is checked up front
+    cov = synthetic_cover(AbelianGroup((2,)), 5, 1, 0, [])
+    chi = cov.group.character((1,))
+    with pytest.raises(InvalidInputError):
+        global_epsilon_valuation(cov, chi, oracle="guesswork")
+    with pytest.raises(InvalidInputError):
+        list(epsilon_ledgers(cov, oracle="guesswork"))
+    with pytest.raises(InvalidInputError):
+        check_strong(cov, oracle="guesswork")
+    with pytest.raises(InvalidInputError):
+        check_weak(cov, oracle="guesswork")
