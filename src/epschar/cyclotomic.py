@@ -2,15 +2,26 @@
 
 Elements are integer coefficient vectors of length phi(m) on the power
 basis 1, zeta, ..., zeta^(phi(m)-1), fully reduced modulo the m-th
-cyclotomic polynomial, so equality is tuple equality.  A product is one
-big-integer multiply by Kronecker substitution: each vector is packed
-into an int with 64-bit slots, the two ints are multiplied, and the
-slots are read back as the coefficients.  While phi(m) <= 24, or while a
-coefficient of the product could reach 2^63, it is a double loop over
-the coefficients instead.  Either way the exponents are folded modulo m
-(zeta^m = 1); the reduction then folds the top half onto the bottom half
-with a minus sign when m is even (zeta^(m/2) = -1) and long-divides by
-the monic Phi_m, all in Python integers.
+cyclotomic polynomial, so equality is tuple equality.
+
+Products and reductions run on packed integers (Kronecker substitution):
+a vector c_0, c_1, ... is the int sum c_k 2^(bits k), where bits is the
+narrowest of 16, 32 and 64 whose signed half holds every coefficient
+the next product can have.  Each slot is stored offset by 2^(bits-1),
+so packing and unpacking are one pass through an unsigned array.
+
+A product is one big-integer multiply of the two packed vectors, or a
+double loop over the coefficients while phi(m) <= 24 or a coefficient
+could reach 2^63.  Its exponents, like those of an exponent vector,
+are folded onto m/2 of them with a minus sign when m is even
+(zeta^(m/2) = -1) and onto m of them otherwise (zeta^m = 1).  The
+exponents from phi(m) up are then divided away by the monic Phi_m by
+Barrett's method: the quotient is the top half of the packed product of
+the top coefficients with mu = x^h div Phi_m, and the remainder is the
+bottom coefficients minus the quotient times Phi_m below its leading
+term, one more packed product.  Small shapes, and any whose slots could
+reach 2^63, long-divide by Phi_m in a loop over its nonzero terms
+instead.  All of it is in Python integers.
 """
 
 from array import array
@@ -64,22 +75,114 @@ def euler_phi(m: int) -> int:
     return _reducer(m)[0]
 
 
+def _folded_length(m: int) -> int:
+    """How many exponents are left after zeta^(m/2) = -1 (m even) or zeta^m = 1."""
+    return m // 2 if m % 2 == 0 else m
+
+
+def _fold(m: int, coeffs) -> list:
+    """A vector on fewer than 2 _folded_length(m) exponents, folded onto the
+    first _folded_length(m)."""
+    size = _folded_length(m)
+    head, tail = list(coeffs[:size]), coeffs[size:]
+    if m % 2 == 0:
+        acc = [a - b for a, b in zip(head, tail)]
+    else:
+        acc = [a + b for a, b in zip(head, tail)]
+    return acc + head[len(acc):] + [0] * (size - len(head))
+
+
 # up to this phi(m) the double loop is faster than packing
 _LOOP_MAX_PHI = 24
-_HALF_SLOT = 1 << 63
+# up to this many multiply-subtracts (quotient rows times nonzero terms of
+# Phi_m) the long-division loop is faster than Barrett's two products
+_LOOP_MAX_WORK = 600
+# unsigned array codes of the slot widths, narrowest first
+_SLOT_CODES = {16: "H", 32: "I", 64: "Q"}
 
 
-def _pack(coeffs) -> int:
-    """sum c_k 2^(64k), as the packed positive part minus the packed negative part."""
-    pos = array("Q", [c if c > 0 else 0 for c in coeffs]).tobytes()
-    neg = array("Q", [-c if c < 0 else 0 for c in coeffs]).tobytes()
-    return int.from_bytes(pos, byteorder) - int.from_bytes(neg, byteorder)
+def _slot_bits(bound: int) -> int:
+    """The narrowest slot width whose signed half holds |c| <= bound, or 0 if none does."""
+    for bits in _SLOT_CODES:
+        if bound < 1 << (bits - 1):
+            return bits
+    return 0
+
+
+def _pack(coeffs, bits: int) -> int:
+    """sum c_k 2^(bits k), for |c_k| < 2^(bits-1)."""
+    half = 1 << (bits - 1)
+    raw = array(_SLOT_CODES[bits], [c + half for c in coeffs]).tobytes()
+    return int.from_bytes(raw, byteorder) - _slot_offset(len(coeffs), bits)[0]
+
+
+def _unpack(x: int, n: int, bits: int) -> list:
+    """c_0, ..., c_(n-1) of x = sum c_k 2^(bits k), where every |c_k| < 2^(bits-1)."""
+    half = 1 << (bits - 1)
+    offset, mask = _slot_offset(n, bits)
+    raw = ((x + offset) & mask).to_bytes(bits * n // 8, byteorder)
+    return [c - half for c in array(_SLOT_CODES[bits], raw)]
 
 
 @lru_cache(maxsize=None)
-def _slot_offset(n: int) -> int:
-    """sum 2^63 2^(64k) over k < n."""
-    return int.from_bytes(array("Q", [_HALF_SLOT]).tobytes() * n, byteorder)
+def _slot_offset(n: int, bits: int):
+    """sum 2^(bits-1) 2^(bits k) over k < n, and the mask of those n slots."""
+    slot = array(_SLOT_CODES[bits], [1 << (bits - 1)]).tobytes()
+    return int.from_bytes(slot * n, byteorder), (1 << (bits * n)) - 1
+
+
+def _long_divide(acc: list, phi: int, terms) -> list:
+    """Divide acc in place by the monic Phi_m of degree phi with nonzero lower
+    terms (i, c_i); acc[:phi] is left as the remainder.  Returns the quotient."""
+    quot = [0] * (len(acc) - phi)
+    # zeta^d = -sum c_i zeta^(d - phi + i), from the top degree down
+    for d in range(len(acc) - 1, phi - 1, -1):
+        c = acc[d]
+        if c:
+            base = d - phi
+            quot[base] = c
+            for i, ci in terms:
+                acc[base + i] -= c * ci
+    return quot
+
+
+@lru_cache(maxsize=None)
+def _barrett(m: int):
+    """mu = x^h div Phi_m with h = _folded_length(m) - 1, and Phi_m below its
+    leading term, each with its largest |coefficient|."""
+    phi, terms = _reducer(m)
+    top = [0] * _folded_length(m)
+    top[-1] = 1
+    mu = _long_divide(top, phi, terms)
+    low = list(cyclotomic_polynomial(m)[:phi])
+    return mu, max(map(abs, mu), default=0), low, max(map(abs, low))
+
+
+@lru_cache(maxsize=None)
+def _packed_barrett(m: int, bits: int):
+    """mu and Phi_m below its leading term, packed in slots of bits."""
+    mu, _, low, _ = _barrett(m)
+    return _pack(mu, bits), _pack(low, bits)
+
+
+def _reduce(m: int, acc: list) -> tuple:
+    """A vector on the _folded_length(m) exponents, reduced modulo Phi_m."""
+    phi, terms = _reducer(m)
+    rows = len(acc) - phi
+    if rows * len(terms) > _LOOP_MAX_WORK:
+        mu, mu_max, low, low_max = _barrett(m)
+        top, bottom = acc[phi:], acc[:phi]
+        # a quotient coefficient is a sum of at most rows terms top_i mu_j
+        bits = _slot_bits(rows * max(map(abs, top)) * mu_max)
+        if bits:
+            packed_mu = _packed_barrett(m, bits)[0]
+            quot = _unpack(_pack(top, bits) * packed_mu, 2 * rows - 1, bits)[rows - 1:]
+            bits = _slot_bits(min(rows, phi) * max(map(abs, quot)) * low_max + max(map(abs, bottom)))
+            if bits:
+                packed_low = _packed_barrett(m, bits)[1]
+                return tuple(_unpack(_pack(bottom, bits) - _pack(quot, bits) * packed_low, phi, bits))
+    _long_divide(acc, phi, terms)
+    return tuple(acc[:phi])
 
 
 @dataclass(frozen=True)
@@ -99,28 +202,14 @@ class CyclotomicInt:
     @staticmethod
     def from_exponent_vector(m: int, vec) -> "CyclotomicInt":
         """Reduce an integer vector indexed by exponents 0..m-1."""
-        phi, terms = _reducer(m)
         if len(vec) != m:
             raise DomainError("exponent vector must have length m")
-        if m % 2 == 0:
-            half = m // 2
-            acc = [a - b for a, b in zip(vec[:half], vec[half:])]
-        else:
-            acc = list(vec)
-        # zeta^d = -sum c_i zeta^(d - phi + i), from the top degree down
-        for d in range(len(acc) - 1, phi - 1, -1):
-            c = acc[d]
-            if c:
-                base = d - phi
-                for i, ci in terms:
-                    acc[base + i] -= c * ci
-        return CyclotomicInt(m, tuple(acc[:phi]))
+        return CyclotomicInt(m, _reduce(m, _fold(m, vec)))
 
     @staticmethod
     def from_int(m: int, n: int) -> "CyclotomicInt":
-        vec = [0] * m
-        vec[0] = n
-        return CyclotomicInt.from_exponent_vector(m, vec)
+        # degree 0 is already reduced, as phi(m) >= 1
+        return CyclotomicInt(m, (n,) + (0,) * (euler_phi(m) - 1))
 
     @staticmethod
     def zeta(m: int, k: int = 1) -> "CyclotomicInt":
@@ -151,22 +240,22 @@ class CyclotomicInt:
         other = self._match(other)
         m = self.order
         xs, ys = self.coeffs, other.coeffs
+        # a product coefficient is a sum of at most phi terms a_i b_j, and
+        # the slots must hold the factors themselves too
+        phi = len(xs)
+        bits = 0
+        if phi > _LOOP_MAX_PHI:
+            x_max, y_max = max(map(abs, xs)), max(map(abs, ys))
+            bits = _slot_bits(max(phi * x_max * y_max, x_max, y_max))
+        if bits:
+            product = _unpack(_pack(xs, bits) * _pack(ys, bits), 2 * phi - 1, bits)
+            return CyclotomicInt(m, _reduce(m, _fold(m, product)))
         vec = [0] * m
-        # a product coefficient is a sum of at most phi terms a_i b_j
-        bound = len(xs) * max(map(abs, xs)) * max(map(abs, ys)) if len(xs) > _LOOP_MAX_PHI else 0
-        if 0 < bound < _HALF_SLOT:
-            # Kronecker substitution at x = 2^64: slot k of the packed
-            # product plus the offset is coefficient k plus 2^63
-            n = 2 * len(xs) - 1
-            packed = (_pack(xs) * _pack(ys) + _slot_offset(n)).to_bytes(8 * n, byteorder)
-            for k, c in enumerate(array("Q", packed)):
-                vec[k % m] += c - _HALF_SLOT
-        else:
-            for i, a in enumerate(xs):
-                if a:
-                    for j, b in enumerate(ys):
-                        if b:
-                            vec[(i + j) % m] += a * b
+        for i, a in enumerate(xs):
+            if a:
+                for j, b in enumerate(ys):
+                    if b:
+                        vec[(i + j) % m] += a * b
         return CyclotomicInt.from_exponent_vector(m, vec)
 
     def galois_twist(self, t: int) -> "CyclotomicInt":
@@ -184,7 +273,10 @@ class CyclotomicInt:
 
     def complex_value(self) -> complex:
         root = cmath.exp(2j * cmath.pi / self.order)
-        return sum(c * root**k for k, c in enumerate(self.coeffs))
+        value = 0j
+        for c in reversed(self.coeffs):
+            value = value * root + c
+        return value
 
 
 def complex_abs2(z: CyclotomicInt) -> float:
@@ -234,13 +326,19 @@ def gauss_sum(ctx: FieldContext, chi: MultChar) -> CyclotomicInt:
     """
     if chi.ctx is not ctx:
         raise DomainError("character belongs to a different field context")
+    return _gauss_sum(ctx, chi.index)
+
+
+# gauss_product_check asks again for the tau its caller has just made
+@lru_cache(maxsize=1)
+def _gauss_sum(ctx: FieldContext, index: int) -> CyclotomicInt:
     m = gauss_order(ctx)
     mult_step = m // (ctx.q - 1) if ctx.q > 2 else 0
     add_step = m // ctx.p
     vec = [0] * m
     # entry k of trace_by_log is Tr(g^k)
     for k, t in enumerate(ctx.trace_by_log):
-        vec[((-chi.index * k) * mult_step + t * add_step) % m] += 1
+        vec[((-index * k) * mult_step + t * add_step) % m] += 1
     return CyclotomicInt.from_exponent_vector(m, vec)
 
 
@@ -258,6 +356,7 @@ def gauss_product_check(ctx: FieldContext, chi: MultChar) -> bool:
     return tau * tau_conj == rhs
 
 
+@lru_cache(maxsize=None)
 def _crt_unit(m: int, p: int, n: int) -> int:
     """The residue mod m = lcm(p, n) that is 1 mod p and -1 mod n."""
     for t in range(1, m + 1):

@@ -265,9 +265,9 @@ def test_products_past_the_slot_width_take_the_double_loop(monkeypatch):
     packed = []
     real_pack = cyclotomic._pack
 
-    def counting_pack(coeffs):
+    def counting_pack(coeffs, bits):
         packed.append(coeffs)
-        return real_pack(coeffs)
+        return real_pack(coeffs, bits)
 
     monkeypatch.setattr(cyclotomic, "_pack", counting_pack)
     rng = random.Random(63)
@@ -283,3 +283,167 @@ def test_products_past_the_slot_width_take_the_double_loop(monkeypatch):
     x = _random_element(13, rng, 9)
     _assert_products_match(x, x)
     assert not packed
+
+
+# -- pin: the packed reduction against the long-division loop ------------------
+
+
+def _long_division_reduce(m, vec):
+    """vec reduced by the loop alone: fold the top half onto the bottom half
+    with a minus sign when m is even, then long-divide by the monic Phi_m,
+    one row per degree from the top down."""
+    cyc = cyclotomic.cyclotomic_polynomial(m)
+    phi = len(cyc) - 1
+    terms = [(i, c) for i, c in enumerate(cyc[:phi]) if c]
+    if m % 2 == 0:
+        half = m // 2
+        acc = [a - b for a, b in zip(vec[:half], vec[half:])]
+    else:
+        acc = list(vec)
+    for d in range(len(acc) - 1, phi - 1, -1):
+        c = acc[d]
+        if c:
+            base = d - phi
+            for i, ci in terms:
+                acc[base + i] -= c * ci
+    return tuple(acc[:phi])
+
+
+def _mobius_cyclotomic(m):
+    """Phi_m as the product of (x^d - 1)^mu(m/d) over the divisors d of m,
+    one sparse multiply or divide by x^d - 1 per squarefree m/d."""
+    poly = [1]
+    divides = []
+    for d in range(1, m + 1):
+        if m % d:
+            continue
+        k, mu, f = m // d, 1, 2
+        while k > 1 and mu:
+            if k % f == 0:
+                k //= f
+                mu = 0 if k % f == 0 else -mu
+            f += 1
+        if mu == 1:
+            # times x^d - 1
+            poly = [-a for a in poly] + [0] * d
+            for i in range(len(poly) - 1, d - 1, -1):
+                poly[i] -= poly[i - d]
+        elif mu == -1:
+            divides.append(d)
+    for d in divides:
+        # exactly divided by x^d - 1: q_i = q_(i-d) - a_i from the bottom up
+        out = [0] * (len(poly) - d)
+        for i in range(len(out)):
+            out[i] = (out[i - d] if i >= d else 0) - poly[i]
+        poly = out
+    return tuple(poly)
+
+
+def test_mobius_cyclotomic_matches_the_package_phi():
+    for m in list(range(1, 200)) + _gauss_orders():
+        assert _mobius_cyclotomic(m) == cyclotomic_polynomial(m), m
+
+
+@pytest.fixture
+def mobius_phi(monkeypatch):
+    """The package's caches built from the Moebius Phi_m for the length of one
+    test: the recursive cyclotomic_polynomial takes about 10 s for all
+    m < 1500, the Moebius product well under one."""
+    caches = [cyclotomic._reducer, cyclotomic._barrett, cyclotomic._packed_barrett]
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", _mobius_cyclotomic)
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def _reduction_vector(m, kind, rng):
+    if kind == "small":
+        return [rng.randrange(-3, 4) for _ in range(m)]
+    if kind == "sparse":
+        vec = [0] * m
+        for _ in range(3):
+            vec[rng.randrange(m)] = rng.randrange(-50, 51)
+        return vec
+    # mixed signs and magnitudes, so that the slots of one m reach 16, 32 and 64 bits
+    scale = 2 ** rng.choice((4, 20, 40))
+    return [rng.randrange(-scale, scale + 1) for _ in range(m)]
+
+
+def test_packed_reduction_matches_the_long_division_loop(mobius_phi):
+    # every m below 1000, one vector kind per m in turn (every kind below 300),
+    # and every kind at the Gauss orders of the perfbench primes 31, 61 and
+    # 101; the reference loop would take about 4 s more to reach every m
+    # below 1500
+    rng = random.Random(1500)
+    kinds = ("small", "sparse", "mixed")
+    cases = [(m, kind) for m in range(1, 1000) for kind in (kinds if m < 300 else (kinds[m % 3],))]
+    cases += [(m, kind) for m in (930, 3660, 10100) for kind in kinds]
+    for m, kind in cases:
+        vec = _reduction_vector(m, kind, rng)
+        got = CyclotomicInt.from_exponent_vector(m, vec).coeffs
+        assert got == _long_division_reduce(m, vec), (m, kind)
+
+
+@pytest.fixture
+def pack_widths(monkeypatch):
+    """The slot width of every _pack call, in order."""
+    widths = []
+    real_pack = cyclotomic._pack
+
+    def spying_pack(coeffs, bits):
+        widths.append(bits)
+        return real_pack(coeffs, bits)
+
+    monkeypatch.setattr(cyclotomic, "_pack", spying_pack)
+    return widths
+
+
+@pytest.mark.parametrize("e, below, width", [
+    (15, True, 16), (15, False, 32), (31, True, 32), (31, False, 64), (63, True, 64), (63, False, None),
+])
+def test_reduction_slots_on_both_sides_of_each_width(pack_widths, e, below, width):
+    # m = 620, the Gauss order of F_125, folds to 310 exponents over phi = 240:
+    # the quotient has 70 rows and mu = x^309 div Phi_620 has coefficients
+    # in {-1, 0, 1}, so the quotient's slot bound is 70 max|top coefficient|
+    m, phi, rows = 620, 240, 70
+    assert euler_phi(m) == phi and rows * len(cyclotomic._reducer(m)[1]) > cyclotomic._LOOP_MAX_WORK
+    big = (2**e - 1) // rows if below else -(-(2**e) // rows)
+    rng = random.Random(e)
+    vec = [rng.randrange(-3, 4) for _ in range(m // 2)] + [0] * (m // 2)
+    vec[phi + rng.randrange(rows)] = rng.choice((-big, big))
+    expected = _long_division_reduce(m, vec)
+    pack_widths.clear()
+    assert CyclotomicInt.from_exponent_vector(m, vec).coeffs == expected
+    if width is None:
+        assert not pack_widths, "a slot bound of 2^63 or more must take the loop"
+    else:
+        assert pack_widths[0] == width
+
+
+@pytest.mark.parametrize("top", [2**15, 2**16, 2**31, 2**32])
+def test_products_at_the_16_and_32_bit_slot_edges_match_the_double_loop(pack_widths, top):
+    # the middle coefficient of the product is phi * a * b, just below top
+    m = 97
+    phi = euler_phi(m)
+    a = 3 if top < 2**31 else 2**10 + 1
+    b = (top - 1) // (phi * a)
+    for sx, sy in ((1, 1), (1, -1), (-1, -1)):
+        x = CyclotomicInt(m, (sx * a,) * phi)
+        y = CyclotomicInt(m, (sy * b,) * phi)
+        pack_widths.clear()
+        _assert_products_match(x, y)
+        # a bound below 2^15 fits 16-bit slots; one below 2^16 needs 32
+        assert pack_widths[0] == {2**15: 16, 2**16: 32, 2**31: 32, 2**32: 64}[top]
+
+
+def test_gauss_product_check_reuses_the_tau_just_made():
+    ctx = make_field(5, 2)
+    for c in range(1, ctx.q - 1):
+        chi = MultChar(ctx, c)
+        gauss_sum(ctx, chi)
+        before = cyclotomic._gauss_sum.cache_info()
+        assert gauss_product_check(ctx, chi)
+        after = cyclotomic._gauss_sum.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, 1)
