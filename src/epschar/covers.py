@@ -9,7 +9,7 @@ assembled with synthetic_cover.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -272,15 +272,7 @@ class PlaceDatum:
         the old one; all other local data is unchanged.
         """
         k = pow(self.p, j % max(1, self.degree * self.f), self.e_t) if self.e_t > 1 else 1
-        return PlaceDatum(
-            label=self.label,
-            p=self.p,
-            degree=self.degree,
-            inertia=self.inertia,
-            decomposition=self.decomposition,
-            tame_char=self.tame_char**k,
-            conductor_overrides=self.conductor_overrides,
-        )
+        return replace(self, tame_char=self.tame_char**k)
 
     def __repr__(self):
         return "PlaceDatum(%s, deg=%d, e_t=%d, e_w=%d, f=%d)" % (

@@ -290,7 +290,7 @@ def complex_abs2(z: CyclotomicInt) -> float:
 
 @dataclass(frozen=True)
 class MultChar:
-    """Character of F_q^*: x -> zeta_(q-1)^(c * dlog x)."""
+    """Character of F_q^*: g^k -> zeta_(q-1)^(c k) for the canonical generator g."""
 
     ctx: FieldContext
     index: int

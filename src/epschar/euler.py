@@ -297,9 +297,14 @@ def euler_char_structure_sheaf(cover: CoverDatum) -> K0Element:
     character of the local group at that point.
     """
     _require_weak(cover)
-    result = cartan_map(psi_structure(cover, DivisorSpec.wild_canonical(cover)))
+    psi = psi_structure(cover, DivisorSpec.wild_canonical(cover))
+    return cartan_map(psi) + decomposition_map(wild_induction_term(cover), cover.p)
+
+
+def wild_induction_term(cover: CoverDatum) -> K0Element:
+    """Sum over the wild places q of deg(q) Ind(trivial character of I_q), at char0."""
+    total = K0Element.zero(cover.group, LEVEL_CHAR0, cover.p)
     for q in cover.wild_places():
-        one = K0Element(q.inertia, LEVEL_CHAR0, {q.inertia.trivial_character(): 1})
-        ind = decomposition_map(induce(one, cover.group), cover.p)
-        result = result + ind.scale(q.degree)
-    return result
+        one = K0Element.of_character(q.inertia.trivial_character(), p=cover.p)
+        total = total + induce(one, cover.group).scale(q.degree)
+    return total

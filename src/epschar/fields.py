@@ -3,13 +3,17 @@
 Field elements are coefficient tuples of length r over Z/p (entry i is
 the coefficient of x^i), reduced modulo a fixed monic irreducible
 modulus.  A FieldContext fixes the modulus, a multiplicative generator
-and a full discrete-log table, so character sums downstream are exact
-table lookups.  Construction is deterministic: the modulus is the first
-monic irreducible of degree r in the numeric coefficient order
-(a_0 + a_1 p + ... smallest first) and the generator is the first
-primitive element in the same order.  The power table is built by a
-linear map: multiplication by the generator is F_p-linear, so each
-power is its r x r matrix applied to the previous one.
+g and the power table g^0, ..., g^(q-2), so character sums downstream
+are exact table lookups.  Construction is deterministic: the modulus is
+the first monic irreducible of degree r in the numeric coefficient
+order (a_0 + a_1 p + ... smallest first) and the generator is the first
+primitive element in the same order.
+
+The polynomial helpers work over Z/n for any n: fields and covers call
+them with n = p, and the p-adic oracle with n = p^M on the same field
+modulus.  power_table builds a table of powers by a linear map:
+multiplication by g is Z/n-linear, so each power is its r x r matrix
+applied to the previous one.
 
 Intended for desk-scale fields (q <= 10**6), not for cryptography.
 """
@@ -44,7 +48,7 @@ class PrimePower:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over Z/p (coefficient lists, ascending powers)
+# polynomial helpers over Z/n (coefficient lists, ascending powers)
 
 
 def poly_trim(c):
@@ -54,27 +58,32 @@ def poly_trim(c):
     return c
 
 
-def poly_mul(a, b, p):
+def poly_pad(c, r) -> tuple:
+    """A reduced polynomial as its r-tuple of coefficients."""
+    return tuple(c) + (0,) * (r - len(c))
+
+
+def poly_mul(a, b, n):
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
+                out[i + j] = (out[i + j] + ai * bj) % n
     return poly_trim(out)
 
 
-def poly_mod(a, m, p):
+def poly_mod(a, m, n):
     """a mod m with m monic."""
     a = list(a)
     dm = len(m) - 1
     while len(a) - 1 >= dm and a:
-        lead = a[-1] % p
+        lead = a[-1] % n
         if lead:
             shift = len(a) - 1 - dm
             for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - lead * mi) % p
+                a[shift + i] = (a[shift + i] - lead * mi) % n
         a.pop()
     return poly_trim(a)
 
@@ -88,15 +97,36 @@ def poly_gcd(a, b, p):
     return a
 
 
-def poly_powmod(a, n, m, p):
+def poly_powmod(a, e, m, n):
+    """a^e mod (n, m) for e >= 0, by square-and-multiply."""
+    if e < 0:
+        raise DomainError("negative exponents are not supported")
     result = [1]
-    base = poly_mod(a, m, p)
-    while n:
-        if n & 1:
-            result = poly_mod(poly_mul(result, base, p), m, p)
-        base = poly_mod(poly_mul(base, base, p), m, p)
-        n >>= 1
+    base = poly_mod(a, m, n)
+    while e:
+        if e & 1:
+            result = poly_mod(poly_mul(result, base, n), m, n)
+        base = poly_mod(poly_mul(base, base, n), m, n)
+        e >>= 1
     return result
+
+
+def power_table(g, modulus, n, count) -> tuple:
+    """g^0, ..., g^(count-1) mod (n, modulus) as coefficient tuples.
+
+    Multiplication by g is Z/n-linear: row j of its matrix holds
+    coefficient j of g x^i for each basis monomial x^i, so each power
+    is that matrix applied to the previous one.  g must be reduced.
+    """
+    r = len(modulus) - 1
+    cols = [poly_pad(poly_mod([0] * i + list(g), modulus, n), r) for i in range(r)]
+    matrix = tuple(zip(*cols))
+    t = poly_pad([1], r)
+    table = [t]
+    for _ in range(count - 1):
+        t = tuple(sum(map(mul, row, t)) % n for row in matrix)
+        table.append(t)
+    return tuple(table)
 
 
 def poly_is_irreducible(coeffs, p) -> bool:
@@ -128,18 +158,18 @@ def poly_is_irreducible(coeffs, p) -> bool:
 
 
 class FieldContext:
-    """Arithmetic context for F_q with fixed modulus, generator, dlog table."""
+    """Arithmetic context for F_q with fixed modulus, generator, power table."""
 
     def __init__(self, p: int, r: int):
         self.p = p
         self.r = r
         self.q = p**r
-        self.prime_power = PrimePower(p, r)
         self.modulus = self._find_modulus()
         self.zero = (0,) * r
-        self.one = self._reduce_int_poly([1])
-        self._exp, self._log = self._build_log_tables()
-        self.generator = self._exp[1] if self.q > 2 else self.one
+        self.one = poly_pad([1], r)
+        self.generator = self._find_generator()
+        # powers[k] = g^k for k < q - 1
+        self.powers = power_table(self.generator, self.modulus, p, self.q - 1)
 
     # -- construction -------------------------------------------------
 
@@ -148,50 +178,22 @@ class FieldContext:
         if r == 1:
             return (0, 1)  # the polynomial x; F_p[x]/(x) = F_p
         for enc in range(p**r):
-            coeffs = []
-            e = enc
-            for _ in range(r):
-                coeffs.append(e % p)
-                e //= p
-            cand = coeffs + [1]
+            cand = list(self.element_from_int(enc)) + [1]
             if poly_is_irreducible(cand, p):
                 return tuple(cand)
         raise AssertionError("no irreducible polynomial found")
 
-    def _reduce_int_poly(self, coeffs) -> FqElem:
-        red = poly_mod([c % self.p for c in coeffs], list(self.modulus), self.p)
-        red = red + [0] * (self.r - len(red))
-        return tuple(red)
-
-    def _build_log_tables(self):
-        # exp[k] = g^k for the first primitive element g; log indexed by encode()
-        p, r, q = self.p, self.r, self.q
+    def _find_generator(self):
+        # the first element in numeric order whose order is q - 1
+        q = self.q
         factors = list(factorize(q - 1)) if q > 2 else []
         for enc in range(1, q):
             g = self.element_from_int(enc)
             if all(self.pow(g, (q - 1) // f) != self.one for f in factors):
-                # multiplication by g is F_p-linear: row j of its matrix holds
-                # coefficient j of g x^i for each basis monomial x^i
-                cols = [self.mul(g, self._reduce_int_poly([0] * i + [1])) for i in range(r)]
-                matrix = tuple(zip(*cols))
-                exp = [self.one]
-                t = self.one
-                for _ in range(q - 2):
-                    t = tuple(sum(map(mul, row, t)) % p for row in matrix)
-                    exp.append(t)
-                log = [None] * q
-                for k, el in enumerate(exp):
-                    log[self.encode(el)] = k
-                return exp, log
+                return g
         raise AssertionError("no primitive element found")
 
     # -- element plumbing ----------------------------------------------
-
-    def encode(self, x: FqElem) -> int:
-        e = 0
-        for c in reversed(x):
-            e = e * self.p + c
-        return e
 
     def element_from_int(self, enc: int) -> FqElem:
         coeffs = []
@@ -212,31 +214,11 @@ class FieldContext:
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
     def mul(self, a, b):
-        return self._reduce_int_poly(poly_mul(list(a), list(b), self.p))
+        return poly_pad(poly_mod(poly_mul(a, b, self.p), self.modulus, self.p), self.r)
 
-    def pow(self, a, n):
-        if a == self.zero:
-            if n < 0:
-                raise DomainError("zero has no negative powers")
-            return self.one if n == 0 else self.zero
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        result, base = self.one, a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
-
-    def inv(self, a):
-        if a == self.zero:
-            raise DomainError("zero is not invertible")
-        return self.exp((-self.dlog(a)) % (self.q - 1))
+    def pow(self, a, e):
+        return poly_pad(poly_powmod(a, e, self.modulus, self.p), self.r)
 
     # -- the two operations everything downstream leans on -------------
 
@@ -259,19 +241,9 @@ class FieldContext:
         The trace is F_p-linear, so Tr(x) is the dot product of the
         coefficients of x with the traces of the basis monomials x^i.
         """
-        p = self.p
-        basis = [self.trace(self._reduce_int_poly([0] * i + [1])) for i in range(self.r)]
-        return tuple(sum(a * t for a, t in zip(x, basis)) % p for x in self._exp)
-
-    def dlog(self, x: FqElem) -> int:
-        """Discrete log base the canonical generator; x = 0 is an error."""
-        self.check(x)
-        if x == self.zero:
-            raise DomainError("dlog(0) is undefined")
-        return self._log[self.encode(x)]
-
-    def exp(self, k: int) -> FqElem:
-        return self._exp[k % (self.q - 1)]
+        p, r = self.p, self.r
+        basis = [self.trace(poly_pad([0] * i + [1], r)) for i in range(r)]
+        return tuple(sum(a * t for a, t in zip(x, basis)) % p for x in self.powers)
 
 
 @lru_cache(maxsize=None)

@@ -5,11 +5,13 @@ Elements are plain int tuples in two rings:
 * the unramified ring Z_q at precision p^M, realized as
   Z[x] / (p^M, F) where F is the field modulus of the FieldContext
   lifted verbatim to integer coefficients; an element is its r-tuple of
-  coordinates.  Teichmueller representatives come from the Frobenius
-  fixed-point iteration t -> t^q, which gains one digit of agreement per
-  step.  The table of powers of omega = Teich(g) is built by a linear
-  map: multiplication by omega is Z/p^M-linear, so each power is its
-  r x r matrix applied to the previous coordinate tuple.
+  coordinates.  Its arithmetic is the field's polynomial arithmetic
+  (fields.poly_mul, poly_mod, poly_powmod and power_table) with
+  coefficients mod p^M instead of mod p.  Teichmueller representatives
+  come from the Frobenius fixed-point iteration t -> t^q, which gains
+  one digit of agreement per step, and the powers of omega = Teich(g)
+  fill this oracle's own table; nothing is shared with the
+  Stickelberger oracle.
 
 * its extension by lambda = zeta_p - 1, a list of p-1 such tuples on
   the powers of lambda, modulo the Eisenstein relation
@@ -36,27 +38,10 @@ replaced by another member of its Frobenius orbit.
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import mul
 
 from .errors import InvalidInputError, PrecisionError
-from .fields import FieldContext
+from .fields import FieldContext, poly_pad, poly_powmod, power_table
 from .numutil import padic_valuation_int
-
-
-def _witt_mul(ctx: FieldContext, pM: int, a: tuple, b: tuple) -> tuple:
-    """a * b in Z[x] / (p^M, F(x)) for the lifted field modulus F."""
-    r, modulus = ctx.r, ctx.modulus  # monic, lifted verbatim
-    prod = [0] * (2 * r - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    for k in range(2 * r - 2, r - 1, -1):
-        c = prod[k] % pM
-        if c:
-            for i in range(r + 1):
-                prod[k - r + i] -= c * modulus[i]
-    return tuple(v % pM for v in prod[:r])
 
 
 def teichmuller(ctx: FieldContext, x, precision: int) -> tuple:
@@ -71,12 +56,7 @@ def teichmuller(ctx: FieldContext, x, precision: int) -> tuple:
     pM = ctx.p**precision
     t = tuple(v % pM for v in x)
     for _ in range(precision + 1):
-        nxt, base, n = ctx.one, t, ctx.q
-        while n:
-            if n & 1:
-                nxt = _witt_mul(ctx, pM, nxt, base)
-            base = _witt_mul(ctx, pM, base, base)
-            n >>= 1
+        nxt = poly_pad(poly_powmod(t, ctx.q, ctx.modulus, pM), ctx.r)
         if nxt == t:
             return t
         t = nxt
@@ -87,17 +67,9 @@ def teichmuller(ctx: FieldContext, x, precision: int) -> tuple:
 def _gauss_tables(ctx: FieldContext, precision: int):
     """Per-field tables: the exponents k < q-1 grouped by the trace of
     g^k, Teichmueller powers and (1+lambda)^t slot constants."""
-    p, r, pM = ctx.p, ctx.r, ctx.p**precision
+    p, pM = ctx.p, ctx.p**precision
     omega = teichmuller(ctx, ctx.generator, precision)
-    # multiplication by omega is Z/p^M-linear: row j of its matrix holds
-    # coordinate j of omega x^i for each basis monomial x^i
-    cols = [_witt_mul(ctx, pM, omega, tuple(int(j == i) for j in range(r))) for i in range(r)]
-    matrix = tuple(zip(*cols))
-    t = ctx.one
-    teich_pow = [t]
-    for _ in range(ctx.q - 2):
-        t = tuple(sum(map(mul, row, t)) % pM for row in matrix)
-        teich_pow.append(t)
+    teich_pow = power_table(omega, ctx.modulus, pM, ctx.q - 1)
     # (1+lambda)^t has integer Witt coordinates, one per lambda slot.  For
     # t < p-1 they are the binomials C(t, j) (Pascal's rule mod p^M); only
     # t = p-1 reaches lambda^(p-1) = -sum_(j<p-1) C(p, j+1) lambda^j.
@@ -110,7 +82,7 @@ def _gauss_tables(ctx: FieldContext, precision: int):
     by_trace = [[] for _ in range(p)]
     for k, t in enumerate(ctx.trace_by_log):
         by_trace[t].append(k)
-    return tuple(map(tuple, by_trace)), tuple(teich_pow), tuple(consts)
+    return tuple(map(tuple, by_trace)), teich_pow, tuple(consts)
 
 
 def padic_gauss_valuation(ctx: FieldContext, chi) -> Fraction:

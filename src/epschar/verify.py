@@ -21,18 +21,16 @@ The four checks:
                      a place, subgroup generators) are changed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
 from .errors import IncompleteDatumError, NotWeaklyRamifiedError
 from .groups import (
     K0Element,
-    LEVEL_CHAR0,
     char_label,
     decomposition_map,
     e_map,
-    induce,
     modular_basis,
     restrict,
 )
@@ -45,6 +43,7 @@ from .euler import (
     multiplicities_direct,
     multiplicity_closed,
     psi_structure,
+    wild_induction_term,
 )
 
 
@@ -201,23 +200,12 @@ def check_weak(cover: CoverDatum, oracle: str = ORACLE_STICKELBERGER) -> Verific
     )
 
 
-def _wild_induction_correction(cover: CoverDatum, group) -> K0Element:
-    """Sum over wild places of deg(q) times the induced trivial character."""
-    total = K0Element.zero(group, LEVEL_CHAR0, cover.p)
-    for q in cover.wild_places():
-        triv = K0Element.of_character(q.inertia.trivial_character(), p=cover.p)
-        total = total + induce(triv, group).scale(q.degree)
-    return total
-
-
 def _formula_rhs_element(cover: CoverDatum) -> K0Element:
     """Whole-formula right side as one virtual character: e(psi) + inductions."""
-    return e_map(psi_structure(cover)) + _wild_induction_correction(cover, cover.group)
+    return e_map(psi_structure(cover)) + wild_induction_term(cover)
 
 
-def check_restriction(
-    cover: CoverDatum, sub, oracle: str = ORACLE_STICKELBERGER
-) -> VerificationReport:
+def check_restriction(cover: CoverDatum, sub) -> VerificationReport:
     """Restriction of E to a subgroup against E of the intermediate cover.
 
     Also checks the bookkeeping on the structure side: restricting the
@@ -225,12 +213,12 @@ def check_restriction(
     right-side element computed from the intermediate cover's own data.
     For an abelian group every inertia subgroup at a wild place is a
     p-group, so no place can be wild upstairs but tame for the subcover;
-    the correction terms therefore match place by place.
+    the correction terms therefore match place by place.  Both E are
+    read through the Stickelberger oracle.
     """
     subcov = subcover_data(cover, sub)
-    e_big = E_element(cover, oracle=oracle)
-    e_res = restrict(e_big, sub)
-    e_sub = E_element(subcov, oracle=oracle)
+    e_res = restrict(E_element(cover, oracle=ORACLE_STICKELBERGER), sub)
+    e_sub = E_element(subcov, oracle=ORACLE_STICKELBERGER)
     rows = []
     e_ok = True
     for psi in sub.characters():
@@ -258,7 +246,7 @@ def check_restriction(
         cover="%s | subgroup of order %d" % (cover.summary(), sub.order),
         rows=tuple(rows),
         flags={"restriction_ok": e_ok, "structure_side_ok": side_ok},
-        notes=("oracle=%s" % oracle, "subcover: %s" % subcov.summary()),
+        notes=("oracle=%s" % ORACLE_STICKELBERGER, "subcover: %s" % subcov.summary()),
     )
 
 
@@ -298,29 +286,16 @@ def _regenerated_subgroup(group, sub):
 
 def _regenerated_place(group, q: PlaceDatum) -> PlaceDatum:
     inertia = _regenerated_subgroup(group, q.inertia)
-    return PlaceDatum(
-        label=q.label,
-        p=q.p,
-        degree=q.degree,
+    return replace(
+        q,
         inertia=inertia,
         decomposition=_regenerated_subgroup(group, q.decomposition),
         tame_char=q.tame_char.restrict(inertia),
-        conductor_overrides=q.conductor_overrides,
     )
 
 
 def _with_places(cover: CoverDatum, places) -> CoverDatum:
-    return CoverDatum(
-        group=cover.group,
-        p=cover.p,
-        r=cover.r,
-        g_base=cover.g_base,
-        places=tuple(places),
-        weakly_ramified=cover.weakly_ramified,
-        kind=cover.kind,
-        meta=dict(cover.meta),
-        g_cover=cover.g_cover,
-    )
+    return replace(cover, places=tuple(places), meta=dict(cover.meta))
 
 
 def _invariance_variants(cover: CoverDatum):

@@ -7,6 +7,7 @@ from epschar.fields import (
     PrimePower,
     make_field,
     poly_is_irreducible,
+    power_table,
 )
 from epschar.numutil import factorize
 
@@ -56,36 +57,32 @@ def test_field_axioms_random():
             a, b, c = (rng.choice(els) for _ in range(3))
             assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
             assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
-            assert ctx.add(a, ctx.sub(ctx.zero, a)) == ctx.zero
+            # -a is (p - 1) a, and a^(-1) is a^(q - 2)
+            minus_one = ctx.element_from_int(p - 1)
+            assert ctx.add(a, ctx.mul(minus_one, a)) == ctx.zero
             if a != ctx.zero:
-                assert ctx.mul(a, ctx.inv(a)) == ctx.one
+                assert ctx.mul(a, ctx.pow(a, ctx.q - 2)) == ctx.one
 
 
-def test_generator_and_dlog():
+def test_generator_order_from_power_table():
     for p, r in FIELDS:
         ctx = make_field(p, r)
         q = ctx.q
-        seen = set()
-        for k in range(q - 1):
-            x = ctx.exp(k)
-            assert ctx.dlog(x) == k
-            seen.add(x)
-        assert len(seen) == q - 1
+        # g^0, ..., g^(q-2) are q - 1 distinct nonzero elements: g has order q - 1
+        assert len(ctx.powers) == q - 1
+        assert len(set(ctx.powers)) == q - 1
+        assert ctx.zero not in ctx.powers
+        assert ctx.powers[0] == ctx.one
         assert ctx.pow(ctx.generator, q - 1) == ctx.one
-        with pytest.raises(DomainError):
-            ctx.dlog(ctx.zero)
 
 
 def test_pow_negative_and_zero():
     ctx = make_field(5, 2)
-    x = ctx.exp(3)
-    assert ctx.mul(ctx.pow(x, -2), ctx.pow(x, 2)) == ctx.one
     assert ctx.pow(ctx.zero, 0) == ctx.one
     assert ctx.pow(ctx.zero, 4) == ctx.zero
+    # negative exponents are refused, not looped on
     with pytest.raises(DomainError):
-        ctx.pow(ctx.zero, -1)
-    with pytest.raises(DomainError):
-        ctx.inv(ctx.zero)
+        ctx.pow(ctx.powers[3], -2)
 
 
 def test_trace_properties():
@@ -105,9 +102,10 @@ def test_trace_properties():
 
 
 def test_element_encoding_roundtrip():
+    # element_from_int lists the base-p digits of enc, lowest first
     ctx = make_field(3, 3)
     for enc in range(ctx.q):
-        assert ctx.encode(ctx.element_from_int(enc)) == enc
+        assert sum(c * 3**i for i, c in enumerate(ctx.element_from_int(enc))) == enc
 
 
 def test_check_rejects_malformed():
@@ -125,11 +123,11 @@ def test_trace_by_log_matches_trace():
         table = ctx.trace_by_log
         assert len(table) == ctx.q - 1
         for k in range(ctx.q - 1):
-            assert table[k] == ctx.trace(ctx.exp(k))
+            assert table[k] == ctx.trace(ctx.powers[k])
 
 
 # every field with p <= 7 and r <= 3, and the large fields of the synthetic sweep
-LOG_TABLE_FIELDS = [(p, r) for p in (2, 3, 5, 7) for r in (1, 2, 3)] + [(2, 8), (3, 8), (7, 4)]
+POWER_TABLE_FIELDS = [(p, r) for p in (2, 3, 5, 7) for r in (1, 2, 3)] + [(2, 8), (3, 8), (7, 4)]
 
 
 def _first_primitive(ctx):
@@ -142,16 +140,20 @@ def _first_primitive(ctx):
     raise AssertionError("no primitive element")
 
 
-def test_log_tables_equal_the_multiplication_chain():
-    for p, r in LOG_TABLE_FIELDS:
+def _multiplication_chain(ctx, g):
+    chain = [ctx.one]
+    for _ in range(ctx.q - 2):
+        chain.append(ctx.mul(chain[-1], g))
+    return chain
+
+
+def test_power_table_equals_the_multiplication_chain():
+    for p, r in POWER_TABLE_FIELDS:
         ctx = make_field(p, r)
         g = _first_primitive(ctx)
-        chain = [ctx.one]
-        for _ in range(ctx.q - 2):
-            chain.append(ctx.mul(chain[-1], g))
-        log = [None] * ctx.q
-        for k, x in enumerate(chain):
-            log[ctx.encode(x)] = k
-        assert list(ctx._exp) == chain, (p, r)
-        assert list(ctx._log) == log, (p, r)
+        chain = _multiplication_chain(ctx, g)
+        assert list(ctx.powers) == chain, (p, r)
         assert ctx.generator == (chain[1] if ctx.q > 2 else ctx.one)
+        # power_table itself, on the last element in numeric order
+        x = ctx.element_from_int(ctx.q - 1)
+        assert list(power_table(x, ctx.modulus, p, ctx.q - 1)) == _multiplication_chain(ctx, x)

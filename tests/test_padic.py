@@ -8,13 +8,31 @@ from epschar.errors import PrecisionError
 from epschar.fields import PrimePower, make_field
 from epschar.cyclotomic import MultChar
 from epschar import padic
-from epschar.padic import _witt_mul, padic_gauss_valuation, teichmuller
+from epschar.padic import padic_gauss_valuation, teichmuller
 from epschar.stickelberger import digit_sum_valuation
 
 
 def _lambda_precision(ctx):
     """The lambda precision padic_gauss_valuation works at."""
     return ctx.r * (ctx.p - 1) + 2
+
+
+def _witt_mul(ctx, pM, a, b):
+    """a * b in Z[x] / (p^M, F(x)) for the lifted field modulus F, by the
+    schoolbook double loop and one reduction pass: the reference for the
+    shared polynomial arithmetic the oracle runs on."""
+    r, modulus = ctx.r, ctx.modulus
+    prod = [0] * (2 * r - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for k in range(2 * r - 2, r - 1, -1):
+        c = prod[k] % pM
+        if c:
+            for i in range(r + 1):
+                prod[k - r + i] -= c * modulus[i]
+    return tuple(v % pM for v in prod[:r])
 
 
 def _witt_pow(ctx, pM, a, n):

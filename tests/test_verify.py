@@ -330,3 +330,42 @@ def test_cyclic_subgroups_of_a_large_cyclic_group_are_fast():
     # one subgroup per divisor of 4620 = 2^2 * 3 * 5 * 7 * 11
     assert len(subs) == 48
     assert sorted(s.order for s in subs) == [d for d in range(1, 4621) if 4620 % d == 0]
+
+
+def test_invariance_variants_keep_every_field_they_do_not_change():
+    # a tame place with Frobenius twists, and a wild place carrying
+    # conductor overrides; the cover carries meta and g_cover
+    group = AbelianGroup((14,))
+    tame = group.subgroup([(2,)])
+    wild = group.subgroup([(7,)])
+    odd = {chi: 2 for chi in group.characters() if not chi.trivial_on(wild)}
+    places = [
+        dict(label="q", degree=3, inertia=tame, decomposition=tame,
+             tame_char=cyclic_character(tame, (2,), 1)),
+        dict(label="w", degree=1, inertia=wild, decomposition=wild,
+             tame_char=wild.trivial_character(), conductor_overrides=odd),
+    ]
+    cov = synthetic_cover(group, 2, 1, 0, places)
+    cov.meta["function"] = "sample"
+    cov.g_cover = 5
+    variants = verify._invariance_variants(cov)
+    assert [label for label, _ in variants] == [
+        "twist q p^1", "twist q p^2", "point re-choice", "regenerated subgroups"]
+    kept = ("group", "p", "r", "g_base", "weakly_ramified", "kind", "meta", "g_cover")
+    for label, variant in variants:
+        for name in kept:
+            assert getattr(variant, name) == getattr(cov, name), (label, name)
+        assert variant.meta is not cov.meta, label
+        for before, after in zip(cov.places, variant.places, strict=True):
+            assert (after.label, after.p, after.degree) == (before.label, before.p, before.degree)
+            assert after.conductor_overrides is before.conductor_overrides, label
+            assert after.inertia.element_set == before.inertia.element_set, label
+            assert after.decomposition.element_set == before.decomposition.element_set, label
+            if label != "regenerated subgroups":
+                assert after.inertia is before.inertia, label
+                assert after.decomposition is before.decomposition, label
+    # the twists move only the cotangent character, by a Frobenius power
+    q = cov.places[0]
+    twisted = variants[0][1].places[0]
+    assert twisted.tame_char == q.tame_char**2
+    assert check_invariance(cov).passed
