@@ -24,7 +24,7 @@ from .errors import (
     ReducibleCoverError,
     UnsupportedCoverError,
 )
-from .fields import poly_is_irreducible, poly_mod, poly_mul, poly_powmod, poly_trim
+from .fields import PrimePower, poly_is_irreducible, poly_mod, poly_mul, poly_powmod, poly_trim
 from .groups import (
     AbelianGroup,
     Character,
@@ -35,6 +35,7 @@ from .groups import (
     sylow_p_subgroup,
 )
 from .numutil import factorize, is_prime, multiplicative_order, p_part
+from .stickelberger import TameLocalDatum
 
 INFINITY = "inf"
 
@@ -228,9 +229,21 @@ class PlaceDatum:
         return self.e_w > 1
 
     @cached_property
-    def tame_numerators(self) -> tuple:
-        """N tame_char(t) for t in inertia.elements(), N the root exponent."""
-        return tuple(self.tame_char.numerator(t) for t in self.inertia.elements())
+    def tame_powers(self) -> dict:
+        """Each k < e_t under the value table of tame_char^k on inertia.elements().
+
+        A value table holds the integer numerators N chi(t), N the root
+        exponent.  Where tame_char is not faithful on the tame part,
+        powers share a table and the smallest k keeps it.
+        """
+        n = self.inertia.root.exponent
+        xi = tuple(map(self.tame_char.numerator, self.inertia.elements()))
+        return {tuple(k * x % n for x in xi): k for k in reversed(range(self.e_t))}
+
+    @cached_property
+    def tame_local_datum(self) -> TameLocalDatum:
+        """The residue field F_(p^degree) with this place's e_t and e_w."""
+        return TameLocalDatum(PrimePower(self.p, self.degree), self.e_t, self.e_w)
 
     def tame_index(self, chi: Character) -> int:
         """Index d in Z/e_t with tame_char^d = chi on the tame quotient."""

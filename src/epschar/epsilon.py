@@ -26,14 +26,15 @@ Frobenius.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .covers import CoverDatum, PlaceDatum
 from .errors import InvalidInputError, UnsupportedCoverError
-from .fields import PrimePower, make_field
+from .fields import make_field
 from .groups import Character, K0Element, LEVEL_CHAR0, char_label
 from .padic import padic_gauss_valuation
 from .cyclotomic import MultChar
-from .stickelberger import TameLocalDatum, c_from_d, stickelberger_valuation
+from .stickelberger import c_from_d, stickelberger_valuation
 
 ORACLE_STICKELBERGER = "stickelberger"
 ORACLE_PADIC = "padic"
@@ -58,7 +59,10 @@ class EpsilonLedger:
 
     @property
     def total(self) -> Fraction:
-        return self.base_term + sum((lv.valuation for lv in self.locals), Fraction(0))
+        """The base term plus the local terms, summed as integers over their lcm."""
+        terms = [self.base_term, *(lv.valuation for lv in self.locals)]
+        den = lcm(*(t.denominator for t in terms))
+        return Fraction(sum(t.numerator * (den // t.denominator) for t in terms), den)
 
     @property
     def char_name(self) -> str:
@@ -108,7 +112,7 @@ def local_epsilon(
             )
         cd = place.conductor(chi, cover.weakly_ramified)
         return LocalEpsilonVal(place.label, kind, Fraction(place.degree * cd, 2))
-    datum = TameLocalDatum(PrimePower(cover.p, place.degree), place.e_t, place.e_w)
+    datum = place.tame_local_datum
     d = place.tame_index(chi)
     c = c_from_d(datum, d)
     if oracle == ORACLE_STICKELBERGER:

@@ -157,7 +157,11 @@ def psi_structure(cover: CoverDatum, D: DivisorSpec = None) -> K0Element:
     group = cover.group
     p = cover.p
     basis = modular_basis(group, p)
-    coeffs = {}
+    factors = group.root.invariant_factors
+    base = _base_term(cover, D)
+    # every coefficient is kept as an integer numerator over L
+    L = lcm(base.denominator, *(q.e_t for q in cover.places))
+    nums = {}
 
     for q in cover.places:
         parts = lm_decompose(q, D.value(q))
@@ -180,13 +184,15 @@ def psi_structure(cover: CoverDatum, D: DivisorSpec = None) -> K0Element:
         fibres = {}
         for chi in basis:
             fibres.setdefault(q.inertia._key(chi.vector), []).append(chi)
+        xi, scale = q.tame_char.vector, L // e
         for k, c in by_power.items():
-            c = Fraction(c, e)
-            for chi in fibres.get((q.tame_char**k)._key, ()):
-                coeffs[chi] = coeffs.get(chi, 0) + c
-    base = _base_term(cover, D)
+            power = tuple(k * a % n for a, n in zip(xi, factors))
+            for chi in fibres.get(q.inertia._key(power), ()):
+                nums[chi] = nums.get(chi, 0) + c * scale
+    base = base.numerator * (L // base.denominator)
     for chi in basis:
-        coeffs[chi] = coeffs.get(chi, 0) + base
+        nums[chi] = nums.get(chi, 0) + base
+    coeffs = {chi: Fraction(c, L) for chi, c in nums.items() if c}
     acc = K0Element(group, LEVEL_PROJECTIVES, coeffs, p=p)
     if not acc.is_integral():
         raise IntegralityError("structure element has non-integral coefficients: %r" % acc)
@@ -214,25 +220,21 @@ def _direct_term(p: int, q: PlaceDatum, l: int, chi: Character) -> Fraction:
     The index of chi against the cotangent character is solved
     independently at every residue-field embedding (the f_q extensions
     of an embedding give the same composition, so the deg(q) f_q points
-    collapse onto deg(q) classes weighted 1/e).
+    collapse onto deg(q) classes weighted 1/e): chi's values on all of
+    inertia are looked up among the value tables of the cotangent
+    character's powers, and each embedding divides out its Frobenius.
     """
     e = q.e_t
-    # values as integer numerators mod the root exponent n
-    n = q.inertia.root.exponent
-    pairs = list(zip(q.tame_numerators, map(chi.numerator, q.inertia.elements())))
+    # chi = xi^k on all of inertia, read from chi's integer numerators
+    k = q.tame_powers.get(tuple(map(chi.numerator, q.inertia.elements())))
+    if k is None:
+        raise InvalidInputError("character does not match the cotangent data at %s" % q.label)
+    # at embedding j the cotangent character is xi^(p^j), so d_j = k p^(-j)
+    untwist = pow(p, -1, e)
     num = 0  # e times the term
     for j in range(q.degree):
-        twist = pow(p, j, e)
-        solved = None
-        for d in range(e):
-            if all((d * twist * x - v) % n == 0 for x, v in pairs):
-                solved = d
-                break
-        if solved is None:
-            raise InvalidInputError("character does not match the cotangent data at %s" % q.label)
-        num += solved
-        if solved >= e - l:
-            num -= e
+        d = k * pow(untwist, j, e) % e
+        num += d - e if d >= e - l else d
     return Fraction(num, e)
 
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, lcm, prod
-from operator import index, mul
+from operator import index, mod, mul
 
 from .errors import (
     CapacityError,
@@ -73,6 +73,7 @@ class Subgroup:
             raise DomainError("subgroup must contain the identity")
         self._elements = tuple(sorted(self.element_set))
         self._characters = None
+        self._keys = {}
         self.generators = self.basis if generators is None else tuple(generators)
 
     @staticmethod
@@ -155,9 +156,30 @@ class Subgroup:
         """This group as a Subgroup object; the root gets a fresh one."""
         return Subgroup(self.root, self.element_set) if self is self.root else self
 
+    @cached_property
+    def _key_rows(self):
+        """For each basis element g, the weights w_i g_i: N chi(g) is vector . row."""
+        return tuple(tuple(map(mul, self.root._weights, g)) for g in self.basis)
+
     def _key(self, vector):
-        """Values, times the root exponent, of a character vector on the basis."""
-        return tuple(_numerator(self.root, vector, g) for g in self.basis)
+        """Values, times the root exponent, of a character vector on the basis.
+
+        Memoised in this object under the vector reduced mod the invariant
+        factors, so the memo never holds more than |root| entries.  It holds
+        only the group-theoretic restriction map, which Character.__init__
+        computes anyway, and no term of any multiplicity or epsilon route.
+        The "regenerated subgroups" invariance variant builds new Subgroup
+        objects, so it starts from empty memos.
+        """
+        key = self._keys.get(vector)
+        if key is None:
+            vector = tuple(map(mod, vector, self.root.invariant_factors))
+            key = self._keys.get(vector)
+            if key is None:
+                n = self.root.exponent
+                key = tuple(sum(map(mul, vector, row)) % n for row in self._key_rows)
+                self._keys[vector] = key
+        return key
 
     def __eq__(self, other):
         if not isinstance(other, Subgroup):

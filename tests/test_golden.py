@@ -29,6 +29,9 @@ GOLDEN_SHA256 = "ee71dde1cab734474415fa361742326c0da859f94ff1e651333414a3e3cb022
 SYNTHETIC_PREFIX = 8
 SYNTHETIC_SHA256 = "d8aff53af7ef525a9c10fa81343b46518040f4f6ab639bee87072efa4440b03b"
 
+# the rest of the same corpus, covers SYNTHETIC_PREFIX to 39
+SYNTHETIC_TAIL_SHA256 = "2d61a1b3208a8a7f7bec0ed05eefbd0e0660534232167e365c532ea383089c66"
+
 # tame places over F_211 put the p-adic oracle on p = 211
 KUMMER_211 = ["verify-all", "--builtin", "kummer:p=211,n=70,f=x(x-1)", "--format", "json"]
 KUMMER_211_SHA256 = "fa17ebbdcc201453037e68b8743b810b354cb1b0692a7871a80400cace12baa5"
@@ -59,6 +62,16 @@ def test_synthetic_reports_are_unchanged():
         for rep in full_verification(cover):
             digest.update(json.dumps(rep.to_json_obj(), sort_keys=True).encode("utf-8"))
     assert digest.hexdigest() == SYNTHETIC_SHA256
+
+
+def test_synthetic_reports_past_the_prefix_are_unchanged():
+    covers = synthetic_corpus(40, seed=1)[SYNTHETIC_PREFIX:]
+    assert len(covers) == 32
+    digest = hashlib.sha256()
+    for cover in covers:
+        for rep in full_verification(cover):
+            digest.update(json.dumps(rep.to_json_obj(), sort_keys=True).encode("utf-8"))
+    assert digest.hexdigest() == SYNTHETIC_TAIL_SHA256
 
 
 def test_large_prime_kummer_cover_output_is_unchanged(capsys):
