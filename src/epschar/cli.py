@@ -45,7 +45,7 @@ from .errors import (
     ReducibleCoverError,
     UnsupportedCoverError,
 )
-from .fields import PrimePower, make_field
+from .fields import MAX_R, PrimePower, make_field
 from .cyclotomic import MultChar
 from .padic import padic_gauss_valuation
 from .stickelberger import digit_sum_valuation
@@ -57,12 +57,7 @@ from .covers import (
     cover_to_json,
     kummer_cover,
 )
-from .corpus import (
-    artin_schreier_corpus,
-    kummer_corpus,
-    mixed_synthetic_example,
-    synthetic_corpus,
-)
+from .corpus import constructed_corpus, mixed_synthetic_example, synthetic_corpus
 from .epsilon import ORACLE_PADIC, ORACLE_STICKELBERGER, global_epsilon_valuation
 from .euler import DivisorSpec, multiplicity_closed, multiplicity_direct, psi_structure
 from .verify import check_strong, check_weak, full_verification
@@ -106,9 +101,9 @@ def _parse_poly(text: str, p: int):
                 raise InvalidInputError("cannot parse term %r in %r" % (term, text))
             c, k = int(term), 0
         coeffs[k] = (coeffs.get(k, 0) + sgn * c) % p
-    degree = max(coeffs)
-    while degree > 0 and coeffs.get(degree, 0) == 0:
-        degree -= 1
+    degree = max((k for k, c in coeffs.items() if c), default=0)
+    if degree > MAX_R:  # refused before the coefficient tuple is built
+        raise CapacityError("polynomial %r has degree %d > %d" % (text, degree, MAX_R))
     return tuple(coeffs.get(k, 0) for k in range(degree + 1))
 
 
@@ -217,10 +212,10 @@ def cover_from_dsl(text: str):
 
 
 def _load_cover(args):
-    if getattr(args, "input", None):
+    if args.input:
         with open(args.input, "r", encoding="utf-8") as handle:
             return cover_from_json(handle.read())
-    if getattr(args, "builtin", None):
+    if args.builtin:
         return cover_from_dsl(args.builtin)
     raise InvalidInputError("a cover is required: pass --input FILE or --builtin SPEC")
 
@@ -282,7 +277,7 @@ def _cmd_gauss(args) -> int:
 
 def _cmd_epsilon(args) -> int:
     cover = _load_cover(args)
-    oracles = [args.oracle] if args.oracle != "both" else [ORACLE_STICKELBERGER, ORACLE_PADIC]
+    oracles = _oracles(args, ORACLE_STICKELBERGER)
     lines = ["epsilon valuations: %s" % cover.summary(), "convention: standard"]
     chars = []
     status = 0
@@ -406,35 +401,34 @@ def _run_reports(args, reports) -> int:
     return 1 if failed else 0
 
 
-def _cmd_verify_strong(args) -> int:
-    cover = _load_cover(args)
-    oracles = [args.oracle] if args.oracle != "both" else [ORACLE_PADIC, ORACLE_STICKELBERGER]
-    reports = [check_strong(cover, oracle=oracle) for oracle in oracles]
-    return _run_reports(args, reports)
+# the check each verify command runs once per oracle, as a list of reports
+_CHECKS = {
+    "verify-strong": lambda cover, oracle: [check_strong(cover, oracle=oracle)],
+    "verify-weak": lambda cover, oracle: [check_weak(cover, oracle=oracle)],
+    "verify-all": lambda cover, oracle: full_verification(cover, oracle=oracle),
+}
 
 
-def _cmd_verify_weak(args) -> int:
-    cover = _load_cover(args)
-    oracles = (
-        [args.oracle] if args.oracle != "both" else [ORACLE_STICKELBERGER, ORACLE_PADIC]
-    )
-    reports = [check_weak(cover, oracle=oracle) for oracle in oracles]
-    return _run_reports(args, reports)
+def _oracles(args, first):
+    """The oracles --oracle asks for, in run order; 'both' starts with first."""
+    if args.oracle != "both":
+        return [args.oracle]
+    return [first, ORACLE_PADIC if first == ORACLE_STICKELBERGER else ORACLE_STICKELBERGER]
 
 
-def _cmd_verify_all(args) -> int:
-    if args.oracle == "both":
+def _cmd_verify(args) -> int:
+    if args.command == "verify-all" and args.oracle == "both":
         # full_verification takes one oracle, for its strong report
         raise InvalidInputError("verify-all runs one oracle: pass --oracle padic or stickelberger")
     cover = _load_cover(args)
-    reports = full_verification(cover, oracle=args.oracle)
-    return _run_reports(args, reports)
+    check = _CHECKS[args.command]
+    oracles = _oracles(args, _COMMANDS[args.command][1])
+    return _run_reports(args, [rep for oracle in oracles for rep in check(cover, oracle)])
 
 
 def _cmd_corpus(args) -> int:
     synthetic = synthetic_corpus(args.count, seed=args.seed)  # refuses a huge count first
-    covers = [("kummer", c) for c in kummer_corpus()]
-    covers += [("artin-schreier", c) for c in artin_schreier_corpus()]
+    covers = [(c.kind, c) for c in constructed_corpus()]
     covers.append(("mixed", mixed_synthetic_example()))
     covers += [("synthetic", c) for c in synthetic]
     lines = []
@@ -456,6 +450,20 @@ def _cmd_corpus(args) -> int:
 # -- parser -----------------------------------------------------------------
 
 
+# name: (help, --oracle default or None for no --oracle, reads a cover, handler)
+_COMMANDS = {
+    "gauss": ("valuation of one Gauss sum", "both", False, _cmd_gauss),
+    "epsilon": ("per-character epsilon ledgers", "both", True, _cmd_epsilon),
+    "euler": ("structure element and multiplicities", None, True, _cmd_euler),
+    "verify-strong": ("check the valuation formula", ORACLE_PADIC, True, _cmd_verify),
+    "verify-weak": (
+        "check the Euler characteristic formula", ORACLE_STICKELBERGER, True, _cmd_verify
+    ),
+    "verify-all": ("every applicable check", ORACLE_PADIC, True, _cmd_verify),
+    "corpus": ("list the cover corpus", None, False, _cmd_corpus),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="epschar",
@@ -465,80 +473,35 @@ def _build_parser() -> argparse.ArgumentParser:
         "as:p=2,f=1/x(x+1)  |  synthetic:seed=3,index=0  |  mixed",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # argparse parents share action objects, so every subcommand gets a
-    # fresh copy; a shared one would let set_defaults leak across commands
-    def common(oracle_default=None):
-        par = argparse.ArgumentParser(add_help=False)
-        par.add_argument(
+    for name, (help_text, oracle, reads_cover, handler) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.add_argument(
             "--format", choices=("table", "json"), default="table", help="output format"
         )
-        if oracle_default:
-            par.add_argument(
+        if oracle:
+            cmd.add_argument(
                 "--oracle",
                 choices=(ORACLE_STICKELBERGER, ORACLE_PADIC, "both"),
-                default=oracle_default,
+                default=oracle,
                 help="Gauss-sum valuation oracle (default: %(default)s)",
             )
-        return par
+        if reads_cover:
+            cmd.add_argument("--input", metavar="FILE", help="cover description JSON file")
+            cmd.add_argument("--builtin", metavar="SPEC", help="builtin cover DSL string")
+        cmd.set_defaults(func=handler)
 
-    def cover_in():
-        par = argparse.ArgumentParser(add_help=False)
-        par.add_argument("--input", metavar="FILE", help="cover description JSON file")
-        par.add_argument("--builtin", metavar="SPEC", help="builtin cover DSL string")
-        return par
-
-    gauss = sub.add_parser("gauss", parents=[common("both")], help="valuation of one Gauss sum")
+    # the options of one command only, after the shared ones
+    gauss, euler, corpus = (sub.choices[name] for name in ("gauss", "euler", "corpus"))
     gauss.add_argument("--p", type=int, required=True, help="characteristic")
     gauss.add_argument("--r", type=int, default=1, help="field degree over the prime field")
     gauss.add_argument("--char", type=int, required=True, help="multiplicative character index")
-    gauss.set_defaults(func=_cmd_gauss)
-
-    epsilon = sub.add_parser(
-        "epsilon",
-        parents=[common("both"), cover_in()],
-        help="per-character epsilon ledgers",
-    )
-    epsilon.set_defaults(func=_cmd_epsilon)
-
-    euler = sub.add_parser(
-        "euler",
-        parents=[common(), cover_in()],
-        help="structure element and multiplicities",
-    )
     euler.add_argument(
         "--divisor",
         metavar="JSON",
         help='equivariant divisor as {"place label": n, ...}; default: canonical wild divisor',
     )
-    euler.set_defaults(func=_cmd_euler)
-
-    strong = sub.add_parser(
-        "verify-strong",
-        parents=[common(ORACLE_PADIC), cover_in()],
-        help="check the valuation formula",
-    )
-    strong.set_defaults(func=_cmd_verify_strong)
-
-    weak = sub.add_parser(
-        "verify-weak",
-        parents=[common(ORACLE_STICKELBERGER), cover_in()],
-        help="check the Euler characteristic formula",
-    )
-    weak.set_defaults(func=_cmd_verify_weak)
-
-    verify_all = sub.add_parser(
-        "verify-all",
-        parents=[common(ORACLE_PADIC), cover_in()],
-        help="every applicable check",
-    )
-    verify_all.set_defaults(func=_cmd_verify_all)
-
-    corpus = sub.add_parser("corpus", parents=[common()], help="list the cover corpus")
     corpus.add_argument("--seed", type=int, default=0, help="synthetic corpus seed")
     corpus.add_argument("--count", type=int, default=5, help="number of synthetic covers")
-    corpus.set_defaults(func=_cmd_corpus)
-
     return parser
 
 

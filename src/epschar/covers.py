@@ -15,6 +15,7 @@ from functools import cached_property
 from math import gcd
 
 from .errors import (
+    CapacityError,
     ConstantExtensionError,
     CoverValidationError,
     DomainError,
@@ -24,7 +25,16 @@ from .errors import (
     ReducibleCoverError,
     UnsupportedCoverError,
 )
-from .fields import PrimePower, poly_is_irreducible, poly_mod, poly_mul, poly_powmod, poly_trim
+from .fields import (
+    MAX_Q,
+    MAX_R,
+    PrimePower,
+    poly_is_irreducible,
+    poly_mod,
+    poly_mul,
+    poly_powmod,
+    poly_trim,
+)
 from .groups import (
     AbelianGroup,
     Character,
@@ -38,6 +48,19 @@ from .numutil import factorize, is_prime, multiplicative_order, p_part
 from .stickelberger import TameLocalDatum
 
 INFINITY = "inf"
+
+
+def _is_prime_in_range(p) -> bool:
+    """is_prime(p), refusing p > MAX_Q first: trial division would not end."""
+    if p > MAX_Q:
+        raise CapacityError("p = %d exceeds the supported size (q <= %d)" % (p, MAX_Q))
+    return is_prime(p)
+
+
+def _check_degree(degree, where) -> None:
+    """Refuse a residue degree past MAX_R before any p**degree is formed."""
+    if degree > MAX_R:
+        raise CapacityError("%s has residue degree %d > %d" % (where, degree, MAX_R))
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +92,7 @@ class RationalFunctionDivisor:
     """
 
     def __init__(self, p, entries):
-        if not is_prime(p):
+        if not _is_prime_in_range(p):
             raise InvalidInputError("p must be prime, got %r" % (p,))
         self.p = p
         seen = set()
@@ -85,6 +108,7 @@ class RationalFunctionDivisor:
                     raise InvalidInputError("polynomial has trailing zeros: %r" % (place,))
                 if len(poly) < 2 or poly[-1] != 1:
                     raise InvalidInputError("place polynomial must be monic nonconstant")
+                _check_degree(len(poly) - 1, "a place polynomial")
                 if not poly_is_irreducible(poly, p):
                     raise InvalidInputError(
                         "reducible place polynomial %s over F_%d" % (poly_string(poly), p)
@@ -122,12 +146,6 @@ class RationalFunctionDivisor:
         if rest != 0:
             entries.append((INFINITY, rest))
         return RationalFunctionDivisor(self.p, entries)
-
-    def multiplicity(self, place) -> int:
-        for pl, m in self.entries:
-            if pl == place:
-                return m
-        return 0
 
     def is_divisible_by(self, ell: int) -> bool:
         return all(m % ell == 0 for _, m in self.entries)
@@ -351,15 +369,18 @@ class CoverDatum:
         return "CoverDatum(%s)" % self.summary()
 
 
+def _ramification_total(n, places):
+    """The Riemann-Hurwitz sum of n deg(q) d_q / e_q over the places."""
+    return sum((Fraction(n * q.degree * q.different_exponent(), q.e) for q in places), Fraction(0))
+
+
 def riemann_hurwitz_genus(n, g_base, places):
     """Genus of the cover from the base genus and the different.
 
     2 g_X - 2 = n (2 g_base - 2) + sum_q n deg(q) d_q / e_q where the
     different exponent d_q is (e-1) + (e_w-1) at weakly ramified places.
     """
-    total = Fraction(2 * n * (g_base - 1))
-    for q in places:
-        total += Fraction(n * q.degree * q.different_exponent(), q.e)
+    total = 2 * n * (g_base - 1) + _ramification_total(n, places)
     if total % 2 != 0:
         raise CoverValidationError("genus-integral", "2g-2 = %s is not an even integer" % total)
     g = Fraction(total + 2, 2)
@@ -374,7 +395,7 @@ def validate_cover(cover: CoverDatum) -> None:
     Raises CoverValidationError naming the violated invariant.
     """
     group = cover.group
-    if not is_prime(cover.p):
+    if not _is_prime_in_range(cover.p):
         raise CoverValidationError("prime", "p = %r is not prime" % (cover.p,))
     if cover.r < 1:
         raise CoverValidationError("constants", "r must be >= 1")
@@ -389,6 +410,7 @@ def validate_cover(cover: CoverDatum) -> None:
             raise CoverValidationError("prime", "%s carries a different prime" % where)
         if q.degree < 1:
             raise CoverValidationError("degree", "%s has nonpositive degree" % where)
+        _check_degree(q.degree, where)
         if q.inertia.root != group.root or q.decomposition.root != group.root:
             raise CoverValidationError("subgroup-root", "%s subgroups live in another group" % where)
         if not q.inertia.is_subset_of(group) or not q.decomposition.is_subset_of(group):
@@ -462,7 +484,7 @@ def kummer_cover(p: int, n: int, divisor) -> CoverDatum:
     """
     if n < 2:
         raise InvalidInputError("n must be >= 2")
-    if not is_prime(p):
+    if not _is_prime_in_range(p):
         raise InvalidInputError("p must be prime")
     if (p - 1) % n != 0:
         raise ConstantExtensionError(
@@ -549,7 +571,7 @@ def artin_schreier_cover(p: int, divisor) -> CoverDatum:
     h^p - h + c, so the cover is automatically irreducible; at least
     one pole is required.
     """
-    if not is_prime(p):
+    if not _is_prime_in_range(p):
         raise InvalidInputError("p must be prime")
     if not isinstance(divisor, RationalFunctionDivisor):
         divisor = RationalFunctionDivisor(p, divisor)
@@ -743,7 +765,6 @@ def subcover_data(cover: CoverDatum, sub) -> CoverDatum:
         raise InvalidInputError("H is not a subgroup of the cover group")
 
     new_places = []
-    ram_total = Fraction(0)
     for q in cover.places:
         inertia = intersection(h, q.inertia)
         decomposition = intersection(h, q.decomposition)
@@ -751,9 +772,6 @@ def subcover_data(cover: CoverDatum, sub) -> CoverDatum:
         deg = q.degree * q.f * inertia.order // decomposition.order
         if q.degree * q.f * inertia.order % decomposition.order != 0:
             raise CoverValidationError("subcover-degree", "degree above %s not integral" % q.label)
-        wild_order = p_part(inertia.order, cover.p)
-        d_exp = (inertia.order - 1) + (wild_order - 1)
-        ram_total += count * Fraction(h.order * deg * d_exp, inertia.order)
         if inertia.order == 1:
             continue  # unramified in X -> X/H
         xi = q.tame_char.restrict(inertia)
@@ -770,7 +788,7 @@ def subcover_data(cover: CoverDatum, sub) -> CoverDatum:
                 )
             )
     # 2 g_X - 2 = |H| (2 g' - 2) + ramification of X -> X/H
-    doubled = Fraction(2 * cover.g_cover - 2) - ram_total
+    doubled = 2 * cover.g_cover - 2 - _ramification_total(h.order, new_places)
     g_quot = (doubled / h.order + 2) / 2
     if g_quot.denominator != 1 or g_quot < 0:
         raise CoverValidationError("genus-integral", "quotient genus %s" % g_quot)

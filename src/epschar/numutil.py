@@ -58,7 +58,7 @@ def multiplicative_order(a: int, m: int) -> int:
     a %= m
     if gcd(a, m) != 1:
         raise ValueError(f"{a} is not invertible modulo {m}")
-    # order divides lambda(m); walk down from the group exponent via factors
+    # walk up one power of a at a time until it returns to 1
     order = 1
     t = a
     while t != 1:

@@ -1,4 +1,6 @@
 import json
+import pathlib
+import re
 import resource
 import subprocess
 import sys
@@ -6,6 +8,7 @@ import time
 
 import pytest
 
+from epschar import cli
 from epschar.cli import cover_from_dsl, main
 from epschar.covers import cover_to_json, synthetic_cover
 from epschar.errors import InvalidInputError
@@ -246,6 +249,36 @@ def test_huge_prime_field_is_refused_fast(capsys):
     assert code == 3 and "unsupported datum" in err
 
 
+@pytest.mark.parametrize("spec", [
+    "kummer:p=1000000000000000003,n=2,f=x",
+    "as:p=1000000000000000003,f=1/x",
+    "kummer:p=5,n=2,f=(x^30000000+1)",
+])
+def test_huge_builtin_prime_or_degree_is_refused_fast(spec, capsys):
+    # refused before trial division of p or a 3*10^7-tuple of coefficients
+    start = time.perf_counter()
+    code, _, err = run(capsys, "epsilon", "--builtin", spec)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and "unsupported datum" in err
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "kummer", "p": 10**18 + 3, "n": 2, "divisor": [[[0, 1], 1]]},
+    {"kind": "synthetic", "group": [6], "p": 10**18 + 3, "places": []},
+    {"kind": "synthetic", "group": [6], "p": 5, "places": [
+        {"label": "q", "degree": 2 * 10**9, "inertia": [[3]], "decomposition": [[3]],
+         "tame_char": [[[3], [1, 2]]]}]},
+])
+def test_huge_cover_json_prime_or_degree_is_refused_fast(obj, tmp_path, capsys):
+    # refused before trial division of p or the power p^degree
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "epsilon", "--input", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and "unsupported datum" in err
+
+
 def test_integrality_failure_exits_one(tmp_path, capsys):
     group = AbelianGroup((8,))
     full = group.full_subgroup()
@@ -336,3 +369,13 @@ def test_options_a_command_does_not_read_are_refused(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_the_subcommand_lists_agree():
+    # the module docstring, the README's command block and the parser table
+    doc = cli.__doc__.split("Subcommands:\n\n")[1].split("\n\n")[0]
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line")[1].split("```text\n")[1].split("```")[0]
+    doc_names = re.findall(r"^ *(\S+) ", doc, re.MULTILINE)
+    readme_names = re.findall(r"^(\S+) ", block, re.MULTILINE)
+    assert doc_names == readme_names == list(cli._COMMANDS)

@@ -1,6 +1,6 @@
 """Golden outputs: the JSON of four commands on the constructed corpus,
-the verification reports on a prefix of a seeded synthetic corpus, and
-verify-all on a Kummer cover over F_211.
+the verification reports on a prefix of a seeded synthetic corpus,
+verify-all on a Kummer cover over F_211, and the --help texts.
 
 The digests below were recorded from a known-good build.  Any change to a
 printed label, to the order of characters or rows, or to a reported
@@ -9,6 +9,8 @@ number changes them; a refactor that keeps the outputs leaves them alone.
 
 import hashlib
 import json
+
+import pytest
 
 from epschar.cli import main
 from epschar.corpus import constructed_corpus, synthetic_corpus
@@ -35,6 +37,11 @@ SYNTHETIC_TAIL_SHA256 = "2d61a1b3208a8a7f7bec0ed05eefbd0e0660534232167e365c532ea
 # tame places over F_211 put the p-adic oracle on p = 211
 KUMMER_211 = ["verify-all", "--builtin", "kummer:p=211,n=70,f=x(x-1)", "--format", "json"]
 KUMMER_211_SHA256 = "fa17ebbdcc201453037e68b8743b810b354cb1b0692a7871a80400cace12baa5"
+
+# --help of the top-level parser and of every subcommand, at 80 columns
+HELP_COMMANDS = [[], ["gauss"], ["epsilon"], ["euler"], ["verify-strong"], ["verify-weak"],
+                 ["verify-all"], ["corpus"]]
+HELP_SHA256 = "abf1cc8fee944f0292bdcc6ad02980a39e6282de0c62c8ed83694b34876647d4"
 
 
 def test_cli_json_outputs_are_unchanged(tmp_path, capsys):
@@ -78,3 +85,14 @@ def test_large_prime_kummer_cover_output_is_unchanged(capsys):
     assert main(KUMMER_211) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == KUMMER_211_SHA256
+
+
+def test_help_texts_are_unchanged(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    digest = hashlib.sha256()
+    for command in HELP_COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--help"])
+        assert exc.value.code == 0, command
+        digest.update(capsys.readouterr().out.encode("utf-8"))
+    assert digest.hexdigest() == HELP_SHA256

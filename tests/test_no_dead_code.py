@@ -1,24 +1,28 @@
 """Every function, class and method in src/epschar has a reader.
 
-A definition counts as read when its name appears anywhere in src/,
-demos/ or perfbench/ other than on its own def line (perfbench names
-its tracer targets in strings, so the search is textual).  Dunder
-methods are called by the language and are not checked.
+A definition counts as read when code in src/, demos/ or perfbench/
+names it: as a variable, an attribute or an imported name, or as a part
+of a dotted target that perfbench/tracer.py resolves from a string.
+Words in comments and docstrings do not count.  Dunder methods are
+called by the language and are not checked.
 """
 
 import ast
 import collections
 import pathlib
-import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "epschar"
 SEARCHED = ("src", "demos", "perfbench")
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 # tests use these as references (ROADMAP item 11); no program code needs them
 ALLOWED = {
     "K0Element.regular": "[k[G]] is the reference term of the tabled psi in test_character_tables",
     "DivisorSpec.degree_bar": "deg(D-bar) in test_euler's Riemann-Roch check of the multiplicities",
+    "g_term": "the per-embedding term test_euler sums to check the closed route's _closed_term",
+    "CyclotomicInt.zeta": "the generator test_cyclotomic's order and Galois-twist tests start from",
+    "prime_divisors": "the relevant primes of each group in test_acceptance's criterion 4",
 }
 
 
@@ -40,23 +44,37 @@ def _definitions():
     return out
 
 
+def _tracer_names():
+    """Each part of the dotted TARGETS and each CACHES attribute of the tracer."""
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in ast.parse(TRACER.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("TARGETS", "CACHES")
+    }
+    names = [part for _, target, _ in tables["TARGETS"] for part in target.split(".")]
+    return names + [attr for _, _, attr in tables["CACHES"]]
+
+
 def _name_counts():
-    counts = collections.Counter()
+    counts = collections.Counter(_tracer_names())
     for top in SEARCHED:
         for path in (ROOT / top).rglob("*.py"):
-            counts.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", path.read_text(encoding="utf-8")))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    counts[node.id] += 1
+                elif isinstance(node, ast.Attribute):
+                    counts[node.attr] += 1
+                elif isinstance(node, ast.alias):
+                    counts.update(node.name.split("."))
     return counts
 
 
 def _unread():
     counts = _name_counts()
-    definitions = _definitions()
-    defined = collections.Counter(name for _, name in definitions)
     return sorted(
         qualified
-        for qualified, name in definitions
-        if not (name.startswith("__") and name.endswith("__"))
-        and counts[name] <= defined[name]
+        for qualified, name in _definitions()
+        if not (name.startswith("__") and name.endswith("__")) and not counts[name]
     )
 
 
