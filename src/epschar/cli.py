@@ -67,7 +67,6 @@ _PARSE_ERRORS = (
     CoverValidationError,
     DomainError,
     PrecisionError,
-    json.JSONDecodeError,
     OSError,
 )
 _UNSUPPORTED_ERRORS = (
@@ -82,6 +81,15 @@ _UNSUPPORTED_ERRORS = (
 # -- builtin cover DSL ------------------------------------------------------
 
 
+def _int(text: str, where: str) -> int:
+    """int(text); a non-number, or one past Python's 4300-digit limit, is bad input."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = text if len(text) <= 40 else text[:40] + "..."
+        raise InvalidInputError("%s wants an integer of at most 4300 digits, got %r" % (where, shown))
+
+
 def _parse_poly(text: str, p: int):
     """Ascending coefficient tuple mod p of a polynomial in x."""
     s = text.replace(" ", "")
@@ -94,17 +102,22 @@ def _parse_poly(text: str, p: int):
             m = re.fullmatch(r"(\d*)x(?:\^(\d+))?", term)
             if not m:
                 raise InvalidInputError("cannot parse term %r in %r" % (term, text))
-            c = int(m.group(1)) if m.group(1) else 1
-            k = int(m.group(2)) if m.group(2) else 1
+            c = _int(m.group(1), "f=") if m.group(1) else 1
+            k = _int(m.group(2), "f=") if m.group(2) else 1
         else:
             if not term.isdigit():
                 raise InvalidInputError("cannot parse term %r in %r" % (term, text))
-            c, k = int(term), 0
+            c, k = _int(term, "f="), 0
         coeffs[k] = (coeffs.get(k, 0) + sgn * c) % p
     degree = max((k for k, c in coeffs.items() if c), default=0)
     if degree > MAX_R:  # refused before the coefficient tuple is built
         raise CapacityError("polynomial %r has degree %d > %d" % (text, degree, MAX_R))
     return tuple(coeffs.get(k, 0) for k in range(degree + 1))
+
+
+# A factor is (poly) with an optional ^k, or a run up to the next ( or *:
+# x^k, inf or a bare polynomial.  A ( that opens no such group is a stray.
+_FACTOR = re.compile(r"\(([^()]*)\)(?:\^(-?\d+))?|([^(*]+)|(\()|\*")
 
 
 def _parse_factors(text: str, p: int):
@@ -113,46 +126,23 @@ def _parse_factors(text: str, p: int):
     Accepts products of factors with optional ^k exponents, an optional
     '*' between factors, a leading '1/' inverting every exponent, and
     the token 'inf' for the place at infinity.  Sums inside a factor
-    must be parenthesized, e.g. x^2*(x^2+1)^-1.
+    must be parenthesized, e.g. x^2*(x^2+1)^-1.  Factors are read left
+    to right, so a factor past capacity is refused before a later typo.
     """
     s = text.replace(" ", "")
-    invert = False
-    if s.startswith("1/"):
-        invert = True
-        s = s[2:]
+    sign = -1 if s.startswith("1/") else 1
     factors = []
-    i = 0
-    while i < len(s):
-        if s[i] == "*":
-            i += 1
-            continue
-        if s[i] == "(":
-            depth, j = 1, i + 1
-            while j < len(s) and depth:
-                depth += (s[j] == "(") - (s[j] == ")")
-                j += 1
-            if depth:
-                raise InvalidInputError("unbalanced parentheses in %r" % text)
-            base, i = s[i + 1 : j - 1], j
-        else:
-            j = i
-            while j < len(s) and s[j] not in "(*":
-                j += 1
-            base, i = s[i:j], j
-            m = re.fullmatch(r"x\^(-?\d+)", base)
-            if m:
-                exp = int(m.group(1))
-                factors.append(((0, 1), -exp if invert else exp))
-                continue
-        exp = 1
-        m = re.match(r"\^(-?\d+)", s[i:])
-        if m:
-            exp = int(m.group(1))
-            i += m.end()
-        if invert:
-            exp = -exp
+    for match in _FACTOR.finditer(s, 2 if sign < 0 else 0):
+        base, exp, run, stray = match.groups()
+        if stray:
+            raise InvalidInputError("unbalanced or nested parentheses in %r" % text)
+        if run is not None:
+            power = re.fullmatch(r"x\^(-?\d+)", run)
+            base, exp = ("x", power.group(1)) if power else (run, None)
+        elif base is None:
+            continue  # a '*'
         entry = "inf" if base == "inf" else _parse_poly(base, p)
-        factors.append((entry, exp))
+        factors.append((entry, sign * _int(exp or "1", "f=")))
     if not factors:
         raise InvalidInputError("no factors found in %r" % text)
     return factors
@@ -175,29 +165,22 @@ def _dsl_int(params, key, default=None):
         if default is None:
             raise InvalidInputError("builtin spec needs %s=" % key)
         return default
-    try:
-        return int(params[key])
-    except ValueError:
-        raise InvalidInputError("%s= wants an integer, got %r" % (key, params[key]))
+    return _int(params[key], key + "=")
 
 
 def cover_from_dsl(text: str):
     """Builtin cover DSL -> CoverDatum (see module docstring for forms)."""
     kind, _, rest = text.strip().partition(":")
     params = _dsl_params(rest)
-    if kind == "kummer":
+    if kind in ("kummer", "as", "artin-schreier"):
         p = _dsl_int(params, "p")
-        n = _dsl_int(params, "n")
+        n = _dsl_int(params, "n") if kind == "kummer" else None
         if "f" not in params:
-            raise InvalidInputError("kummer builtin needs f=")
+            raise InvalidInputError("%s builtin needs f=" % kind)
+        if p < 2:  # f's coefficients are read mod p
+            raise InvalidInputError("p must be prime, got %d" % p)
         divisor = RationalFunctionDivisor(p, _parse_factors(params["f"], p))
-        return kummer_cover(p, n, divisor)
-    if kind in ("as", "artin-schreier"):
-        p = _dsl_int(params, "p")
-        if "f" not in params:
-            raise InvalidInputError("artin-schreier builtin needs f=")
-        divisor = RationalFunctionDivisor(p, _parse_factors(params["f"], p))
-        return artin_schreier_cover(p, divisor)
+        return kummer_cover(p, n, divisor) if kind == "kummer" else artin_schreier_cover(p, divisor)
     if kind == "synthetic":
         seed = _dsl_int(params, "seed", 0)
         index = _dsl_int(params, "index", 0)
@@ -325,7 +308,10 @@ def _cmd_epsilon(args) -> int:
 def _cmd_euler(args) -> int:
     cover = _load_cover(args)
     if args.divisor:
-        spec = json.loads(args.divisor)
+        try:
+            spec = json.loads(args.divisor)
+        except ValueError as exc:  # bad JSON, or a number past the limit on digits
+            raise InvalidInputError("--divisor: %s" % exc) from None
         # bool is an int subclass; JSON true is not a coefficient
         if not isinstance(spec, dict) or any(type(v) is not int for v in spec.values()):
             raise InvalidInputError("--divisor wants a JSON object of place: integer")

@@ -174,17 +174,6 @@ class RationalFunctionDivisor:
         return "RationalFunctionDivisor(p=%d, %s)" % (self.p, body)
 
 
-def _unit_order(z, modulus, p):
-    """Multiplicative order of the unit z in F_p[x]/(modulus)."""
-    deg = len(modulus) - 1
-    m = p**deg - 1
-    order = m
-    for ell in factorize(m):
-        while order % ell == 0 and poly_powmod(z, order // ell, modulus, p) == [1]:
-            order //= ell
-    return order
-
-
 # ---------------------------------------------------------------------------
 # place and cover data
 
@@ -508,25 +497,19 @@ def kummer_cover(p: int, n: int, divisor) -> CoverDatum:
             continue  # unramified
         deg = divisor.place_degree(place)
         m_red = (m // g) % e  # prime to e
-        # order of the leading unit of f at this place, in the residue field
-        if place == INFINITY:
-            unit_order = 1
-        else:
-            modulus = list(place)
-            z = [1]
+        # Frobenius moves the g-th root y^e / pi^(m/g) of the leading unit u
+        # of f here by the power-residue symbol w = u^((q-1)/g), q = p^deg:
+        # a g-th root of unity, so in F_p, whose order is the residue degree.
+        # f is a product of monic factors, so u = 1 at infinity.
+        residual = 1
+        if place != INFINITY:
+            modulus, q1 = list(place), p**deg - 1
+            w = [1]
             for other, mo in divisor.entries:
-                if other == place or other == INFINITY:
-                    continue
-                base = poly_mod(list(other), modulus, p)
-                if mo < 0:
-                    base = poly_powmod(base, p**deg - 2, modulus, p)  # inverse in F_{p^deg}
-                    mo = -mo
-                z = poly_mod(poly_mul(z, poly_powmod(base, mo, modulus, p), p), modulus, p)
-            unit_order = _unit_order(z, modulus, p)
-        og = unit_order * g
-        residual = multiplicative_order(pow(p, deg, og), og) if og > 1 else 1
-        if n % (e * residual) != 0:
-            raise CoverValidationError("decomposition-order", "e*f does not divide n")
+                if other != place and other != INFINITY:
+                    power = poly_powmod(list(other), mo * (q1 // g) % q1, modulus, p)
+                    w = poly_mod(poly_mul(w, power, p), modulus, p)
+            residual = multiplicative_order(w[0], p)
         inertia = group.subgroup([(g % n,)])
         decomposition = group.subgroup([(n // (e * residual),)])
         # uniformizer t = y^a pi^b with a m' + b e = 1 transforms by zeta_e^a
@@ -891,7 +874,7 @@ def cover_from_json(text: str) -> CoverDatum:
     """Rebuild a cover datum from its JSON form; raises InvalidInputError."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or a number past the limit on digits
         raise InvalidInputError("invalid JSON: %s" % exc) from None
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InvalidInputError("cover JSON must be an object with a 'kind' field")

@@ -379,3 +379,44 @@ def test_the_subcommand_lists_agree():
     doc_names = re.findall(r"^ *(\S+) ", doc, re.MULTILINE)
     readme_names = re.findall(r"^(\S+) ", block, re.MULTILINE)
     assert doc_names == readme_names == list(cli._COMMANDS)
+
+
+LONG_NUMBER = "1" * 5000  # past Python's 4300-digit limit for int(str)
+
+
+@pytest.mark.parametrize("spec", [
+    "kummer:p=5,n=2,f=x+" + LONG_NUMBER,
+    "kummer:p=5,n=2,f=x^" + LONG_NUMBER,
+    "kummer:p=5,n=2,f=(x+1)^-" + LONG_NUMBER,
+], ids=["coefficient", "power-of-x", "factor-exponent"])
+def test_oversized_dsl_number_is_an_input_error(spec, capsys):
+    code, out, err = run(capsys, "epsilon", "--builtin", spec)
+    assert code == 2 and out == "" and err.startswith("input error:")
+
+
+def test_oversized_json_number_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"kind":"kummer","p":%s}' % LONG_NUMBER)
+    code, out, err = run(capsys, "epsilon", "--input", str(path))
+    assert code == 2 and out == "" and err.startswith("input error:")
+
+
+def test_oversized_divisor_number_is_an_input_error(capsys):
+    code, out, err = run(capsys, "euler", "--builtin", "as:p=2,f=1/x",
+                         "--divisor", '{"x": %s}' % LONG_NUMBER)
+    assert code == 2 and out == "" and err.startswith("input error:")
+
+
+def test_zero_dsl_prime_is_an_input_error(capsys):
+    for spec in ("kummer:p=0,n=2,f=x+1", "as:p=0,f=1/x"):
+        code, out, err = run(capsys, "epsilon", "--builtin", spec)
+        assert code == 2 and out == "" and err.startswith("input error:")
+
+
+def test_quintic_place_near_the_prime_bound_is_fast(capsys):
+    # an irreducible quintic over F_999907: p^5 - 1 is never factored
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "euler", "--builtin",
+                       "kummer:p=999907,n=2,f=(x^5+526455x^4+466463x^3+981164x^2+570610x+390133)")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and "[ok]" in out
