@@ -226,10 +226,11 @@ class PlaceDatum:
         It generates the tame part of the inertia group; validation makes
         sure that it exists.
         """
-        one = Fraction(1, self.e_t) % 1
-        return next((t for t in self.inertia.elements()
-                     if self.inertia.element_order(t) == self.e_t
-                     and self.tame_char.value(t) == one), None)
+        n = self.inertia.root.exponent
+        one = n // self.e_t % n  # the numerator of 1/e_t
+        values = self.tame_char.numerators(self.inertia)
+        return next((t for t, x in zip(self.inertia.elements(), values)
+                     if x == one and self.inertia.element_order(t) == self.e_t), None)
 
     @property
     def is_wild(self) -> bool:
@@ -244,8 +245,8 @@ class PlaceDatum:
         powers share a table and the smallest k keeps it.
         """
         n = self.inertia.root.exponent
-        xi = tuple(map(self.tame_char.numerator, self.inertia.elements()))
-        return {tuple(k * x % n for x in xi): k for k in reversed(range(self.e_t))}
+        xi = self.tame_char.numerators(self.inertia)
+        return {tuple([k * x % n for x in xi]): k for k in reversed(range(self.e_t))}
 
     @cached_property
     def tame_local_datum(self) -> TameLocalDatum:
@@ -259,10 +260,15 @@ class PlaceDatum:
         return chi.numerator(self.tame_generator) * self.e_t // self.inertia.root.exponent
 
     def ramification_kind(self, chi: Character) -> str:
-        """How chi sees this place: 'unramified', 'tame' or 'wild'."""
-        if chi.trivial_on(self.inertia):
+        """How chi sees this place: 'unramified', 'tame' or 'wild'.
+
+        Read from chi's memoised restriction keys: a key lists chi's values
+        on generators of the subgroup, so it is all zero exactly when chi
+        is trivial there.
+        """
+        if not any(self.inertia._key(chi.vector)):
             return "unramified"
-        if chi.trivial_on(self.wild_subgroup):
+        if not any(self.wild_subgroup._key(chi.vector)):
             return "tame"
         return "wild"
 

@@ -59,10 +59,20 @@ class EpsilonLedger:
 
     @property
     def total(self) -> Fraction:
-        """The base term plus the local terms, summed as integers over their lcm."""
-        terms = [self.base_term, *(lv.valuation for lv in self.locals)]
-        den = lcm(*(t.denominator for t in terms))
-        return Fraction(sum(t.numerator * (den // t.denominator) for t in terms), den)
+        """The base term plus the local terms, summed as one integer numerator.
+
+        The common denominator grows to the lcm of the denominators met so
+        far, so a ledger whose terms are all integers never takes an lcm.
+        """
+        num, den = self.base_term.numerator, self.base_term.denominator
+        for lv in self.locals:
+            v = lv.valuation
+            d = v.denominator
+            if den % d:
+                m = lcm(den, d)
+                num, den = num * (m // den), m
+            num += v.numerator * (den // d)
+        return Fraction(num, den)
 
     @property
     def char_name(self) -> str:

@@ -133,12 +133,11 @@ def _require_weak(cover: CoverDatum):
         )
 
 
-def _base_term(cover: CoverDatum, D: DivisorSpec) -> Fraction:
-    total = Fraction(cover.r * (1 - cover.g_base))
-    for q in cover.places:
-        parts = lm_decompose(q, D.value(q))
-        total += q.degree * parts.m
-    return total
+def _base_term(cover: CoverDatum, D: DivisorSpec) -> int:
+    """r(1 - g_base) plus deg(q) m_q over the places: an integer."""
+    return cover.r * (1 - cover.g_base) + sum(
+        q.degree * lm_decompose(q, D.value(q)).m for q in cover.places
+    )
 
 
 def psi_structure(cover: CoverDatum, D: DivisorSpec = None) -> K0Element:
@@ -158,45 +157,38 @@ def psi_structure(cover: CoverDatum, D: DivisorSpec = None) -> K0Element:
     p = cover.p
     basis = modular_basis(group, p)
     factors = group.root.invariant_factors
-    base = _base_term(cover, D)
-    # every coefficient is kept as an integer numerator over L
-    L = lcm(base.denominator, *(q.e_t for q in cover.places))
-    nums = {}
-
+    # every coefficient is kept as an integer numerator over L, by basis index
+    L = lcm(*(q.e_t for q in cover.places))
+    nums = [_base_term(cover, D) * L] * len(basis)
     for q in cover.places:
-        parts = lm_decompose(q, D.value(q))
         if q.e_t == 1:
             continue
-        e = q.e_t
+        e, l = q.e_t, lm_decompose(q, D.value(q)).l
         # e times the coefficient of xi^k, by k mod e: the cotangent
         # character xi has order e, and xi_j^d = xi^(p^j d)
-        by_power = {}
+        by_power = [0] * e
         for j in range(q.degree):
             twist = pow(p, j, e)
             for d in range(1, e):
-                k = twist * d % e
-                by_power[k] = by_power.get(k, 0) - d
-            for d in range(1, parts.l + 1):
-                k = -twist * d % e
-                by_power[k] = by_power.get(k, 0) + e
-        # Ind(theta) is the sum of the basis characters whose restriction
-        # to the inertia group has theta's key
-        fibres = {}
-        for chi in basis:
-            fibres.setdefault(q.inertia._key(chi.vector), []).append(chi)
-        xi, scale = q.tame_char.vector, L // e
-        for k, c in by_power.items():
-            power = tuple(k * a % n for a, n in zip(xi, factors))
-            for chi in fibres.get(q.inertia._key(power), ()):
-                nums[chi] = nums.get(chi, 0) + c * scale
-    base = base.numerator * (L // base.denominator)
-    for chi in basis:
-        nums[chi] = nums.get(chi, 0) + base
-    coeffs = {chi: Fraction(c, L) for chi, c in nums.items() if c}
-    acc = K0Element(group, LEVEL_PROJECTIVES, coeffs, p=p)
-    if not acc.is_integral():
+                by_power[twist * d % e] -= d
+            for d in range(1, l + 1):
+                by_power[-twist * d % e] += e
+        # Ind(xi^k) is the sum of the basis characters whose restriction
+        # to the inertia group has the key of xi^k
+        key, xi, scale = q.inertia._key, q.tame_char.vector, L // e
+        by_key = {}
+        for k, c in enumerate(by_power):
+            if c:
+                power = key(tuple(k * a % n for a, n in zip(xi, factors)))
+                by_key[power] = by_key.get(power, 0) + c * scale
+        for i, chi in enumerate(basis):
+            nums[i] += by_key.get(key(chi.vector), 0)
+    if any(c % L for c in nums):
+        acc = K0Element(group, LEVEL_PROJECTIVES,
+                        {chi: Fraction(c, L) for chi, c in zip(basis, nums) if c}, p=p)
         raise IntegralityError("structure element has non-integral coefficients: %r" % acc)
-    return acc
+    return K0Element(group, LEVEL_PROJECTIVES,
+                     {chi: c // L for chi, c in zip(basis, nums) if c}, p=p)
 
 
 def _multiplicity_parts(cover: CoverDatum, D: DivisorSpec):
@@ -208,14 +200,19 @@ def _multiplicity_parts(cover: CoverDatum, D: DivisorSpec):
     return _base_term(cover, D), places
 
 
-def _closed_term(p: int, q: PlaceDatum, l: int, chi: Character) -> Fraction:
-    """Local term of the closed form: the g_term of chi at each residue embedding."""
+def _closed_numerator(p: int, q: PlaceDatum, l: int, chi: Character) -> int:
+    """e_t times the closed form's local term: chi's g_terms at each residue embedding."""
     e, d = q.e_t, q.tame_index(chi)
-    return Fraction(sum(_g_numerator(l, e, d, p, i) for i in range(q.degree)), e)
+    return sum(_g_numerator(l, e, d, p, i) for i in range(q.degree))
 
 
-def _direct_term(p: int, q: PlaceDatum, l: int, chi: Character) -> Fraction:
-    """Local term of the point enumeration.
+def _closed_term(p: int, q: PlaceDatum, l: int, chi: Character) -> Fraction:
+    """Local term of the closed form."""
+    return Fraction(_closed_numerator(p, q, l, chi), q.e_t)
+
+
+def _direct_numerator(p: int, q: PlaceDatum, l: int, chi: Character) -> int:
+    """e_t times the local term of the point enumeration.
 
     The index of chi against the cotangent character is solved
     independently at every residue-field embedding (the f_q extensions
@@ -226,48 +223,56 @@ def _direct_term(p: int, q: PlaceDatum, l: int, chi: Character) -> Fraction:
     """
     e = q.e_t
     # chi = xi^k on all of inertia, read from chi's integer numerators
-    k = q.tame_powers.get(tuple(map(chi.numerator, q.inertia.elements())))
+    k = q.tame_powers.get(chi.numerators(q.inertia))
     if k is None:
         raise InvalidInputError("character does not match the cotangent data at %s" % q.label)
     # at embedding j the cotangent character is xi^(p^j), so d_j = k p^(-j)
     untwist = pow(p, -1, e)
-    num = 0  # e times the term
+    num = 0
     for j in range(q.degree):
         d = k * pow(untwist, j, e) % e
         num += d - e if d >= e - l else d
-    return Fraction(num, e)
+    return num
+
+
+def _direct_term(p: int, q: PlaceDatum, l: int, chi: Character) -> Fraction:
+    """Local term of the point enumeration."""
+    return Fraction(_direct_numerator(p, q, l, chi), q.e_t)
 
 
 def _multiplicity(cover: CoverDatum, D: DivisorSpec, chi: Character, term) -> Fraction:
-    total, places = _multiplicity_parts(cover, D)
+    """The multiplicity of one character, from its Fraction-valued local terms."""
+    base, places = _multiplicity_parts(cover, D)
+    total = Fraction(base)
     for q, l in places:
         total -= term(cover.p, q, l, chi)
     return total
 
 
-def _tabled_multiplicities(cover: CoverDatum, D: DivisorSpec, term):
-    """Yield the multiplicity of each of cover.characters() along one route.
+def _tabled_multiplicities(cover: CoverDatum, D: DivisorSpec, numerator):
+    """The multiplicity of each of cover.characters() along one route.
 
-    A local term depends on chi only through its restriction to the
-    inertia group, so each place keeps its own table of terms under that
-    key; the tables live for one call and one route.  Every term is kept
-    as an integer numerator over L, the lcm of the base term's
-    denominator and the e_t of each place.
+    numerator(p, q, l, chi) is e_t times the route's local term.  A local
+    term depends on chi only through its restriction to the inertia
+    group, so each place keeps its own table of terms under that key;
+    the tables live for one call and one route.  Every term is kept as
+    an integer numerator over L, the lcm of the e_t of the places, and
+    each multiplicity is one Fraction.
     """
     base, places = _multiplicity_parts(cover, D)
-    L = lcm(base.denominator, *(q.e_t for q, _ in places))
-    base = base.numerator * (L // base.denominator)
-    tables = [{} for _ in places]
-    for chi in cover.characters():
-        total = base
-        for (q, l), table in zip(places, tables):
-            key = q.inertia._key(chi.vector)
-            t = table.get(key)
+    L = lcm(*(q.e_t for q, _ in places))
+    chars = cover.characters()
+    totals = [base * L] * len(chars)
+    p = cover.p
+    for q, l in places:
+        table, key, scale = {}, q.inertia._key, L // q.e_t
+        for i, chi in enumerate(chars):
+            k = key(chi.vector)
+            t = table.get(k)
             if t is None:
-                t = term(cover.p, q, l, chi)
-                t = table[key] = t.numerator * (L // t.denominator)
-            total -= t
-        yield Fraction(total, L)
+                t = table[k] = numerator(p, q, l, chi) * scale
+            totals[i] -= t
+    return [Fraction(total, L) for total in totals]
 
 
 def multiplicity_closed(cover: CoverDatum, D: DivisorSpec, chi: Character) -> Fraction:
@@ -281,13 +286,13 @@ def multiplicity_direct(cover: CoverDatum, D: DivisorSpec, chi: Character) -> Fr
 
 
 def multiplicities_closed(cover: CoverDatum, D: DivisorSpec = None):
-    """multiplicity_closed for each of cover.characters(), lazily, from per-place tables."""
-    return _tabled_multiplicities(cover, D, _closed_term)
+    """multiplicity_closed for each of cover.characters(), from per-place tables."""
+    return _tabled_multiplicities(cover, D, _closed_numerator)
 
 
 def multiplicities_direct(cover: CoverDatum, D: DivisorSpec = None):
-    """multiplicity_direct for each of cover.characters(), lazily, from per-place tables."""
-    return _tabled_multiplicities(cover, D, _direct_term)
+    """multiplicity_direct for each of cover.characters(), from per-place tables."""
+    return _tabled_multiplicities(cover, D, _direct_numerator)
 
 
 def euler_char_structure_sheaf(cover: CoverDatum) -> K0Element:

@@ -29,9 +29,9 @@ Frobenius reciprocity demands, and all coefficients are Fractions.
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import product, repeat
 from math import gcd, lcm, prod
-from operator import index, mod, mul
+from operator import add, index, mod, mul
 
 from .errors import (
     CapacityError,
@@ -84,7 +84,10 @@ class Subgroup:
                 raise DomainError(f"{g} is not an element of the root group")
         have = {root.identity}
         for g in gens:
-            have = _extend(root, have, g)
+            # a generator already in the set adds nothing, and copying the
+            # set for it would make a list of all elements quadratic
+            if g not in have:
+                have = _extend(root, have, g)
         return Subgroup(root, have, generators=gens)
 
     @cached_property
@@ -160,6 +163,12 @@ class Subgroup:
     def _key_rows(self):
         """For each basis element g, the weights w_i g_i: N chi(g) is vector . row."""
         return tuple(tuple(map(mul, self.root._weights, g)) for g in self.basis)
+
+    @cached_property
+    def _columns(self):
+        """For each invariant factor i, the weighted coordinates w_i g_i of the elements."""
+        return tuple(tuple(w * g[i] for g in self._elements)
+                     for i, w in enumerate(self.root._weights))
 
     def _key(self, vector):
         """Values, times the root exponent, of a character vector on the basis.
@@ -250,10 +259,12 @@ def joint(a: Subgroup, b: Subgroup) -> Subgroup:
 
 
 def sylow_p_subgroup(group, p: int) -> Subgroup:
-    """Unique Sylow p-subgroup of an abelian group."""
-    members = [g for g in group.elements() if p_part(group.element_order(g), p)
-               == group.element_order(g)]
-    return Subgroup(group.root, members)
+    """Unique Sylow p-subgroup of an abelian group: the image of g -> g^m,
+    m the prime-to-p part of the order."""
+    m = group.order // p_part(group.order, p)
+    factors = group.root.invariant_factors
+    return Subgroup(group.root, {tuple(m * x % n for x, n in zip(g, factors))
+                                 for g in group.elements()})
 
 
 def sylow_p_order(group, p: int) -> int:
@@ -283,6 +294,25 @@ class Character:
             raise DomainError(f"{g} is not in the domain of the character")
         return _numerator(self.domain.root, self.vector, g)
 
+    def numerators(self, sub) -> tuple:
+        """numerator(g) for each g of sub.elements(), with one domain check.
+
+        The values are the dot products of the vector with the weighted
+        coordinates of the elements, taken one invariant factor at a time.
+        """
+        if sub is not self.domain and not sub.is_subset_of(self.domain):
+            raise DomainError("the subgroup is not in the domain of the character")
+        acc = None
+        for a, column in zip(self.vector, sub._columns):
+            if a and acc is None:
+                acc = [a * x for x in column]
+            elif a:
+                acc = list(map(add, acc, map(mul, repeat(a), column)))
+        if acc is None:
+            return (0,) * sub.order
+        n = self.domain.root.exponent
+        return tuple([x % n for x in acc])
+
     def value(self, g) -> Fraction:
         return Fraction(self.numerator(g), self.domain.root.exponent)
 
@@ -294,8 +324,7 @@ class Character:
     @property
     def sort_key(self):
         """Orders characters like their value tables, without Fractions."""
-        root = self.domain.root
-        return tuple(_numerator(root, self.vector, g) for g in self.domain.elements())
+        return self.numerators(self.domain)
 
     @property
     def order(self) -> int:

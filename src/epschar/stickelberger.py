@@ -18,6 +18,7 @@ e_t | q - 1 tame part, e_w a power of p wild part):
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .errors import DomainError, InvalidInputError
@@ -50,6 +51,13 @@ class TameLocalDatum:
     def r(self) -> int:
         return self.prime_power.r
 
+    @cached_property
+    def composition_exponent(self) -> int:
+        """composition_exponent of this datum, computed once and kept on it."""
+        q = self.q
+        n = minimal_power_clearing_wild(self)
+        return (((q - 1) // self.e_t) * (q**n // self.e_w)) % (q - 1)
+
 
 def _check_d(datum: TameLocalDatum, d: int) -> int:
     if not 0 <= d < datum.e_t:
@@ -81,15 +89,13 @@ def minimal_power_clearing_wild(datum: TameLocalDatum) -> int:
 
 def composition_exponent(datum: TameLocalDatum) -> int:
     """Exponent in Z/(q-1) by which the composed local map raises units."""
-    q = datum.q
-    n = minimal_power_clearing_wild(datum)
-    return (((q - 1) // datum.e_t) * (q**n // datum.e_w)) % (q - 1)
+    return datum.composition_exponent
 
 
 def c_from_d(datum: TameLocalDatum, d: int) -> int:
     """Multiplicative index over F_q of the residual character with tame index d."""
     _check_d(datum, d)
-    return (d * composition_exponent(datum)) % (datum.q - 1)
+    return (d * datum.composition_exponent) % (datum.q - 1)
 
 
 def d_from_c(datum: TameLocalDatum, c: int) -> int:

@@ -256,10 +256,11 @@ def check_restriction(cover: CoverDatum, sub) -> VerificationReport:
 def _snapshot(cover: CoverDatum) -> dict:
     """Every reported quantity of a datum, keyed by a stable label."""
     out = {}
+    labels = [char_label(chi) for chi in cover.characters()]
     try:
         # lazy: the ledgers before the first incomplete character count
-        for ledger in epsilon_ledgers(cover, ORACLE_STICKELBERGER):
-            out["eps %s" % ledger.char_name] = ledger.total
+        for label, ledger in zip(labels, epsilon_ledgers(cover, ORACLE_STICKELBERGER)):
+            out["eps " + label] = ledger.total
     except IncompleteDatumError:
         pass
     if cover.weakly_ramified:
@@ -268,13 +269,13 @@ def _snapshot(cover: CoverDatum) -> dict:
         for theta in modular_basis(cover.group, cover.p):
             out["psi %s" % char_label(theta)] = psi.coefficient(theta)
         both = zip(
-            cover.characters(),
+            labels,
             multiplicities_closed(cover, d_wild),
             multiplicities_direct(cover, d_wild),
         )
-        for chi, closed, direct in both:
-            out["mult %s" % char_label(chi)] = closed
-            out["dir %s" % char_label(chi)] = direct
+        for label, closed, direct in both:
+            out["mult " + label] = closed
+            out["dir " + label] = direct
     return out
 
 

@@ -285,3 +285,59 @@ def test_root_and_full_subgroup_are_one_group():
     assert x.coefficient(chi) == 1
     total = x + K0Element.of_character(chi)
     assert len(total.coeffs) == 1 and total.coefficient(chi) == 2
+
+
+def _every_subgroup(group):
+    """Every subgroup of group, each once, by closing under one more element."""
+    found = {frozenset([group.identity]): group.subgroup([group.identity])}
+    frontier = list(found.values())
+    while frontier:
+        grown = []
+        for sub in frontier:
+            for g in group.elements():
+                if not sub.contains(g):
+                    bigger = group.subgroup(list(sub.generators) + [g])
+                    if bigger.element_set not in found:
+                        found[bigger.element_set] = bigger
+                        grown.append(bigger)
+        frontier = grown
+    return list(found.values())
+
+
+@pytest.mark.parametrize("factors", [(24,), (2, 12), (4, 4), (2, 2, 2, 2)])
+def test_generated_extends_only_by_new_generators(factors, monkeypatch):
+    from epschar import groups
+
+    group = AbelianGroup(factors)
+    subs = _every_subgroup(group)
+    extend = groups._extend
+    calls = []
+
+    def counted(root, have, g):
+        calls.append(g)
+        return extend(root, have, g)
+
+    monkeypatch.setattr(groups, "_extend", counted)
+    for sub in subs:
+        # the full element list, as the regenerated invariance variant passes it
+        gens = list(sub.elements()) + list(reversed(sub.elements()))
+        old = {group.identity}
+        for g in gens:  # the loop before the fix: one _extend per generator
+            old = extend(group, old, g)
+        calls.clear()
+        again = group.subgroup(gens)
+        assert again.element_set == sub.element_set == frozenset(old)
+        assert again.generators == tuple(gens)
+        # each call at least doubles the set, and none is for an element
+        # the set already holds
+        assert len(calls) <= sub.order.bit_length() - 1, (sub, calls)
+        assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("factors", [(24,), (2, 12), (4, 4), (2, 2, 2, 2)])
+def test_sylow_is_the_set_of_p_power_order_elements(factors):
+    group = AbelianGroup(factors)
+    for sub in _every_subgroup(group):
+        for p in (2, 3, 5):
+            want = {g for g in sub.elements() if p_part(sub.element_order(g), p) == sub.element_order(g)}
+            assert sylow_p_subgroup(sub, p).element_set == want, (sub, p)
