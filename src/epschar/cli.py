@@ -310,7 +310,7 @@ def _cmd_euler(args) -> int:
     if args.divisor:
         try:
             spec = json.loads(args.divisor)
-        except ValueError as exc:  # bad JSON, or a number past the limit on digits
+        except (ValueError, RecursionError) as exc:  # bad JSON, too many digits or too deep
             raise InvalidInputError("--divisor: %s" % exc) from None
         # bool is an int subclass; JSON true is not a coefficient
         if not isinstance(spec, dict) or any(type(v) is not int for v in spec.values()):

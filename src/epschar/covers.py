@@ -880,7 +880,7 @@ def cover_from_json(text: str) -> CoverDatum:
     """Rebuild a cover datum from its JSON form; raises InvalidInputError."""
     try:
         obj = json.loads(text)
-    except ValueError as exc:  # bad JSON, or a number past the limit on digits
+    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits or too deep
         raise InvalidInputError("invalid JSON: %s" % exc) from None
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InvalidInputError("cover JSON must be an object with a 'kind' field")

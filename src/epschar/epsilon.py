@@ -11,7 +11,10 @@ valuation of a tame Gauss sum over the residue field at tamely
 ramified places, and deg(q) cond / 2 at wildly ramified places.
 Two independent oracles compute the tame Gauss valuation: the
 fractional-part (digit sum) formula and an explicit p-adic expansion
-of the Gauss sum itself.
+of the Gauss sum itself.  Each local term is an integer numerator and
+denominator from one kernel, which the per-character and the tabled
+ledgers both call; the ledgers build a Fraction only where a reader
+asks for one, a term's valuation or a ledger's total.
 
 The normalisation is the standard one of the functional equations of
 Artin L-functions, with geometric Frobenius (Deligne, "Les constantes
@@ -27,6 +30,7 @@ Frobenius.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .covers import CoverDatum, PlaceDatum
 from .errors import InvalidInputError, UnsupportedCoverError
@@ -34,19 +38,25 @@ from .fields import make_field
 from .groups import Character, K0Element, LEVEL_CHAR0, char_label
 from .padic import padic_gauss_valuation
 from .cyclotomic import MultChar
-from .stickelberger import c_from_d, stickelberger_valuation
+from .stickelberger import c_from_d, stickelberger_numerator
 
 ORACLE_STICKELBERGER = "stickelberger"
 ORACLE_PADIC = "padic"
 ORACLES = (ORACLE_STICKELBERGER, ORACLE_PADIC)
 
 
-@dataclass(frozen=True)
-class LocalEpsilonVal:
+class LocalEpsilonVal(NamedTuple):
+    """One local term, numerator / denominator (not always in lowest terms)."""
+
     place: str
     kind: str  # 'unramified' | 'tame' | 'wild'
-    valuation: Fraction
+    numerator: int
+    denominator: int = 1
     gauss_index: int = 0  # multiplicative index over the residue field when tame
+
+    @property
+    def valuation(self) -> Fraction:
+        return Fraction(self.numerator, self.denominator)
 
 
 @dataclass
@@ -54,7 +64,7 @@ class EpsilonLedger:
     """Per-character breakdown of the global epsilon valuation."""
 
     character: Character
-    base_term: Fraction
+    base_term: int
     locals: tuple
 
     @property
@@ -64,14 +74,12 @@ class EpsilonLedger:
         The common denominator grows to the lcm of the denominators met so
         far, so a ledger whose terms are all integers never takes an lcm.
         """
-        num, den = self.base_term.numerator, self.base_term.denominator
-        for lv in self.locals:
-            v = lv.valuation
-            d = v.denominator
+        num, den = self.base_term, 1
+        for _, _, n, d, _ in self.locals:
             if den % d:
                 m = lcm(den, d)
                 num, den = num * (m // den), m
-            num += v.numerator * (den // d)
+            num += n * (den // d)
         return Fraction(num, den)
 
     @property
@@ -88,6 +96,34 @@ class EpsilonLedger:
 def _check_oracle(oracle):
     if oracle not in ORACLES:
         raise InvalidInputError("unknown oracle %r; choose from %s" % (oracle, ORACLES))
+
+
+def _local_term(cover, place, chi, oracle, kind) -> LocalEpsilonVal:
+    """local_epsilon of chi at place, given chi's ramification kind there.
+
+    Every term is built from integers: the wild one as deg cond over 2,
+    the tame one as the Stickelberger sum over e_t or the p-adic
+    valuation's numerator and denominator.
+    """
+    if kind == "unramified":
+        return LocalEpsilonVal(place.label, kind, 0)
+    if kind == "wild":
+        if place.e_t > 1 and not (chi**place.e_w).trivial_on(place.inertia):
+            raise UnsupportedCoverError(
+                "place %s: %s is nontrivial on both the wild and the tame part of "
+                "inertia; its local epsilon valuation is not determined by the "
+                "conductor" % (place.label, char_label(chi))
+            )
+        cd = place.conductor(chi, cover.weakly_ramified)
+        return LocalEpsilonVal(place.label, kind, place.degree * cd, 2)
+    datum = place.tame_local_datum
+    d = place.tame_index(chi)
+    c = c_from_d(datum, d)
+    if oracle == ORACLE_STICKELBERGER:
+        return LocalEpsilonVal(place.label, kind, stickelberger_numerator(datum, d), datum.e_t, c)
+    ctx = make_field(cover.p, place.degree)
+    val = padic_gauss_valuation(ctx, MultChar(ctx, c))
+    return LocalEpsilonVal(place.label, kind, val.numerator, val.denominator, c)
 
 
 def local_epsilon(
@@ -110,27 +146,7 @@ def local_epsilon(
     a character raises UnsupportedCoverError.
     """
     _check_oracle(oracle)
-    kind = place.ramification_kind(chi)
-    if kind == "unramified":
-        return LocalEpsilonVal(place.label, kind, Fraction(0))
-    if kind == "wild":
-        if place.e_t > 1 and not (chi**place.e_w).trivial_on(place.inertia):
-            raise UnsupportedCoverError(
-                "place %s: %s is nontrivial on both the wild and the tame part of "
-                "inertia; its local epsilon valuation is not determined by the "
-                "conductor" % (place.label, char_label(chi))
-            )
-        cd = place.conductor(chi, cover.weakly_ramified)
-        return LocalEpsilonVal(place.label, kind, Fraction(place.degree * cd, 2))
-    datum = place.tame_local_datum
-    d = place.tame_index(chi)
-    c = c_from_d(datum, d)
-    if oracle == ORACLE_STICKELBERGER:
-        val = stickelberger_valuation(datum, d)
-    else:
-        ctx = make_field(cover.p, place.degree)
-        val = padic_gauss_valuation(ctx, MultChar(ctx, c))
-    return LocalEpsilonVal(place.label, kind, val, gauss_index=c)
+    return _local_term(cover, place, chi, oracle, place.ramification_kind(chi))
 
 
 def global_epsilon_valuation(
@@ -141,7 +157,7 @@ def global_epsilon_valuation(
     """Ledger of the valuation of the global epsilon constant of chi."""
     _check_oracle(oracle)
     locals_ = tuple(local_epsilon(cover, q, chi, oracle=oracle) for q in cover.places)
-    return EpsilonLedger(chi, Fraction(cover.r * (cover.g_base - 1)), locals_)
+    return EpsilonLedger(chi, cover.r * (cover.g_base - 1), locals_)
 
 
 def epsilon_ledgers(cover: CoverDatum, oracle: str = ORACLE_STICKELBERGER):
@@ -150,20 +166,29 @@ def epsilon_ledgers(cover: CoverDatum, oracle: str = ORACLE_STICKELBERGER):
     A local term depends on the character only through its restriction
     to the inertia group, or, where conductors are overridden, through the
     whole character; each place keeps one table of its terms under that
-    key, built as the characters are reached.  The generator is lazy, so
-    a caller sees every ledger before the first IncompleteDatumError or
-    UnsupportedCoverError.
+    key, built as the characters are reached.  The restriction also gives
+    the kind: chi is unramified where it is all zero.  The generator is
+    lazy, so a caller sees every ledger before the first
+    IncompleteDatumError or UnsupportedCoverError.
     """
     _check_oracle(oracle)
-    base_term = Fraction(cover.r * (cover.g_base - 1))
-    tables = [{} for _ in cover.places]
-    for chi in cover.characters():
+    base_term = cover.r * (cover.g_base - 1)
+    columns = [(q, {}, q.inertia.restriction_keys(cover.group), q.conductor_overrides is not None)
+               for q in cover.places]
+    for i, chi in enumerate(cover.characters()):
         locals_ = []
-        for q, table in zip(cover.places, tables):
-            key = chi if q.conductor_overrides is not None else q.inertia._key(chi.vector)
-            lv = table.get(key)
+        for q, table, keys, by_character in columns:
+            key = keys[i]
+            entry = chi if by_character else key
+            lv = table.get(entry)
             if lv is None:
-                lv = table[key] = local_epsilon(cover, q, chi, oracle=oracle)
+                if not any(key):
+                    kind = "unramified"
+                elif any(q.wild_subgroup._key(chi.vector)):
+                    kind = "wild"
+                else:
+                    kind = "tame"
+                lv = table[entry] = _local_term(cover, q, chi, oracle, kind)
             locals_.append(lv)
         yield EpsilonLedger(chi, base_term, tuple(locals_))
 

@@ -265,9 +265,8 @@ def _tabled_multiplicities(cover: CoverDatum, D: DivisorSpec, numerator):
     totals = [base * L] * len(chars)
     p = cover.p
     for q, l in places:
-        table, key, scale = {}, q.inertia._key, L // q.e_t
-        for i, chi in enumerate(chars):
-            k = key(chi.vector)
+        table, scale = {}, L // q.e_t
+        for i, (chi, k) in enumerate(zip(chars, q.inertia.restriction_keys(cover.group))):
             t = table.get(k)
             if t is None:
                 t = table[k] = numerator(p, q, l, chi) * scale

@@ -74,6 +74,7 @@ class Subgroup:
         self._elements = tuple(sorted(self.element_set))
         self._characters = None
         self._keys = {}
+        self._key_lists = {}
         self.generators = self.basis if generators is None else tuple(generators)
 
     @staticmethod
@@ -189,6 +190,21 @@ class Subgroup:
                 key = tuple(sum(map(mul, vector, row)) % n for row in self._key_rows)
                 self._keys[vector] = key
         return key
+
+    def restriction_keys(self, group) -> list:
+        """_key(chi.vector) for each chi of group.characters(), as one list.
+
+        Memoised in this object, like _keys, under the identity of the group:
+        equal groups may list their characters in different orders.  An
+        entry keeps its group alive, so no other group can take its id.
+        The memo holds only the restriction map on a whole character tuple.
+        """
+        entry = self._key_lists.get(id(group))
+        if entry is None:
+            key = self._key
+            keys = [key(chi.vector) for chi in group.characters()]
+            entry = self._key_lists[id(group)] = (group, keys)
+        return entry[1]
 
     def __eq__(self, other):
         if not isinstance(other, Subgroup):

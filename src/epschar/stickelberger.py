@@ -13,7 +13,8 @@ e_t | q - 1 tame part, e_w a power of p wild part):
   residual character and its multiplicative index c over F_q.
 * stickelberger_valuation / digit_sum_valuation: the two faces of the
   classical valuation formula v_p(tau) = sum of fractional parts =
-  s_p(c) / (p-1).
+  s_p(c) / (p-1); stickelberger_numerator is the first one's sum of
+  d p^i mod e_t, e_t times the valuation, as an integer.
 """
 
 from dataclasses import dataclass
@@ -114,15 +115,20 @@ def d_from_c(datum: TameLocalDatum, c: int) -> int:
     return ((c // step) * pow(unit, -1, e)) % e
 
 
-def stickelberger_valuation(datum: TameLocalDatum, d: int) -> Fraction:
-    """Sum of the fractional-part tuple: v_p of the tame Gauss sum."""
-    _check_d(datum, d)
+def stickelberger_numerator(datum: TameLocalDatum, d: int) -> int:
+    """e_t times stickelberger_valuation(datum, d), for d already checked."""
     e, p = datum.e_t, datum.p
     total, t = 0, d
     for _ in range(datum.r):
         total += t
         t = t * p % e
-    return Fraction(total, e)
+    return total
+
+
+def stickelberger_valuation(datum: TameLocalDatum, d: int) -> Fraction:
+    """Sum of the fractional-part tuple: v_p of the tame Gauss sum."""
+    _check_d(datum, d)
+    return Fraction(stickelberger_numerator(datum, d), datum.e_t)
 
 
 def digit_sum_valuation(pp: PrimePower, c: int) -> Fraction:

@@ -7,7 +7,12 @@ cover of the constructed corpus, of the 40-cover sweep corpus and of
 each cover's invariance variants.  The guards pin what the kernels must
 not do: the direct route never reads the tame index, the regenerated
 variant shares no subgroup with its datum, and a restriction-key memo
-stays within the size of its root group.
+stays within the size of its root group.  A subgroup's list of
+restriction keys follows the character order of the group it was asked
+for, even where an equal group orders its characters differently.  The
+epsilon ledgers compute each of their own (place, restriction) terms
+exactly once per call, for each oracle and for the datum and each
+variant alike.
 """
 
 import random
@@ -16,10 +21,10 @@ from functools import lru_cache
 
 import pytest
 
-from epschar import verify
+from epschar import epsilon, verify
 from epschar.corpus import constructed_corpus, synthetic_corpus
 from epschar.covers import PlaceDatum
-from epschar.epsilon import ORACLE_STICKELBERGER, epsilon_ledgers
+from epschar.epsilon import ORACLE_STICKELBERGER, ORACLES, epsilon_ledgers
 from epschar.errors import EpscharError, IncompleteDatumError, IntegralityError, InvalidInputError
 from epschar.euler import (
     DivisorSpec,
@@ -159,6 +164,22 @@ def test_restriction_keys_match_the_numerator_formula(factors):
             assert sub._key(shifted) == want, (sub, shifted)
 
 
+@pytest.mark.parametrize("factors", [(24,), (2, 12), (4, 4), (2, 2, 2, 2)])
+def test_restriction_key_lists_follow_each_group_s_own_characters(factors):
+    group = AbelianGroup(factors)
+    # equal to the root, but its characters are sorted by value table
+    full = Subgroup(group, group.element_set)
+    assert full == group
+    if factors != (24,):
+        assert [chi.vector for chi in full.characters()] != [chi.vector for chi in group.characters()]
+    for sub in _all_subgroups(group):
+        for domain in (group, full, sub):
+            want = [sub._key(chi.vector) for chi in domain.characters()]
+            assert sub.restriction_keys(domain) == want, (sub, domain)
+            assert sub.restriction_keys(domain) is sub.restriction_keys(domain)
+        assert len(sub._key_lists) == 3
+
+
 def test_direct_terms_match_the_trial_solve():
     pairs = 0
     for cover in _covers():
@@ -282,3 +303,74 @@ def test_restriction_key_memos_stay_within_the_root_order(monkeypatch):
         memo = sub._keys
         assert len(memo) <= root.order, sub
         assert all(v in root.element_set for v in memo), sub
+
+
+def _term_key(place, chi):
+    """What a ledger table keys chi's term at place by."""
+    return chi if place.conductor_overrides is not None else place.inertia._key(chi.vector)
+
+
+def _spy_on_the_ledger_kernel(monkeypatch):
+    """Record (cover, oracle, place, term key) of each local term computed."""
+    kernel = epsilon._local_term
+    calls = []
+
+    def spy(cover, place, chi, oracle, kind):
+        calls.append((id(cover), oracle, id(place), _term_key(place, chi)))
+        return kernel(cover, place, chi, oracle, kind)
+
+    monkeypatch.setattr(epsilon, "_local_term", spy)
+    return calls
+
+
+def _distinct_terms(cover):
+    return {(id(q), _term_key(q, chi)) for chi in cover.characters() for q in cover.places}
+
+
+def test_each_ledger_call_computes_each_of_its_terms_once(monkeypatch):
+    calls = _spy_on_the_ledger_kernel(monkeypatch)
+    checked = 0
+    for cover in _covers():
+        want = _distinct_terms(cover)
+        for oracle in ORACLES:
+            # a second call, and the other oracle, recompute every term
+            for _ in range(2):
+                calls.clear()
+                assert len(list(epsilon_ledgers(cover, oracle))) == len(cover.characters())
+                got = [(place, key) for _, o, place, key in calls]
+                assert {o for _, o, _, _ in calls} <= {oracle}
+                assert len(got) == len(set(got)), cover.summary()
+                assert set(got) == want, cover.summary()
+                checked += len(got)
+    assert checked > 10000
+
+
+def test_the_invariance_check_computes_the_terms_of_each_variant(monkeypatch):
+    calls = _spy_on_the_ledger_kernel(monkeypatch)
+    data = []
+    variants = verify._invariance_variants
+
+    def recorded(datum):
+        out = variants(datum)
+        for label, variant in out:
+            if label == "regenerated subgroups":
+                # the variant's inertia groups start with empty key-list memos
+                for q in variant.places:
+                    assert q.inertia._key_lists == {}, (label, q)
+        data.extend(v for _, v in out)
+        return out
+
+    monkeypatch.setattr(verify, "_invariance_variants", recorded)
+    for cover in constructed_corpus()[:8] + synthetic_corpus(40, seed=1)[:20]:
+        data[:] = [cover]
+        calls.clear()
+        assert verify.check_invariance(cover).passed
+        assert len(data) > 1
+        for datum in data:
+            got = [(place, key) for c, _, place, key in calls if c == id(datum)]
+            assert len(got) == len(set(got)), datum.summary()
+            assert set(got) == _distinct_terms(datum), datum.summary()
+        assert len(calls) == sum(len(_distinct_terms(datum)) for datum in data)
+        # the regenerated variant's inertia groups now hold their key lists
+        regenerated = data[-1]
+        assert all(len(q.inertia._key_lists) == 1 for q in regenerated.places)
