@@ -46,7 +46,14 @@ ORACLES = (ORACLE_STICKELBERGER, ORACLE_PADIC)
 
 
 class LocalEpsilonVal(NamedTuple):
-    """One local term, numerator / denominator (not always in lowest terms)."""
+    """One local term, numerator / denominator (not always in lowest terms).
+
+    Equality is that of the raw fields, as for any tuple: two terms of
+    equal value can compare unequal when one is not in lowest terms, and
+    a plain tuple with the same fields compares equal.  Compare values
+    through valuation, and ledgers through their terms' valuations or
+    their totals.
+    """
 
     place: str
     kind: str  # 'unramified' | 'tame' | 'wild'
@@ -166,10 +173,9 @@ def epsilon_ledgers(cover: CoverDatum, oracle: str = ORACLE_STICKELBERGER):
     A local term depends on the character only through its restriction
     to the inertia group, or, where conductors are overridden, through the
     whole character; each place keeps one table of its terms under that
-    key, built as the characters are reached.  The restriction also gives
-    the kind: chi is unramified where it is all zero.  The generator is
-    lazy, so a caller sees every ledger before the first
-    IncompleteDatumError or UnsupportedCoverError.
+    key, built as the characters are reached.  The generator is lazy, so
+    a caller sees every ledger before the first IncompleteDatumError or
+    UnsupportedCoverError.
     """
     _check_oracle(oracle)
     base_term = cover.r * (cover.g_base - 1)
@@ -182,12 +188,7 @@ def epsilon_ledgers(cover: CoverDatum, oracle: str = ORACLE_STICKELBERGER):
             entry = chi if by_character else key
             lv = table.get(entry)
             if lv is None:
-                if not any(key):
-                    kind = "unramified"
-                elif any(q.wild_subgroup._key(chi.vector)):
-                    kind = "wild"
-                else:
-                    kind = "tame"
+                kind = q.ramification_kind(chi)
                 lv = table[entry] = _local_term(cover, q, chi, oracle, kind)
             locals_.append(lv)
         yield EpsilonLedger(chi, base_term, tuple(locals_))

@@ -253,14 +253,10 @@ def check_restriction(cover: CoverDatum, sub) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _snapshot(cover: CoverDatum, labels=None) -> dict:
-    """Every reported quantity of a datum, keyed by a stable label.
-
-    labels, when given, is char_label of each of cover.characters().
-    """
-    if labels is None:
-        labels = [char_label(chi) for chi in cover.characters()]
+def _snapshot(cover: CoverDatum) -> dict:
+    """Every reported quantity of a datum, keyed by a stable label."""
     out = {}
+    labels = [char_label(chi) for chi in cover.characters()]
     try:
         # lazy: the ledgers before the first incomplete character count
         for label, ledger in zip(labels, epsilon_ledgers(cover, ORACLE_STICKELBERGER)):
@@ -334,13 +330,11 @@ def check_invariance(cover: CoverDatum) -> VerificationReport:
     point over every place at once and (c) regenerating all subgroup
     objects from their element sets.  Rows count exact mismatches.
     """
-    # every variant keeps the covering group, and with it the characters
-    labels = [char_label(chi) for chi in cover.characters()]
-    base = _snapshot(cover, labels)
+    base = _snapshot(cover)
     rows = []
     all_ok = True
     for label, variant in _invariance_variants(cover):
-        got = _snapshot(variant, labels)
+        got = _snapshot(variant)
         mismatched = sum(1 for k, v in base.items() if got.get(k) != v)
         mismatched += sum(1 for k in got if k not in base)
         ok = mismatched == 0

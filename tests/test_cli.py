@@ -187,6 +187,11 @@ def test_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "epsilon", "--input", str(bad))
     assert code == 2 and "input error" in err
 
+    # nested past the recursion limit: an input error, not a traceback
+    bad.write_text("[" * 5000 + "]" * 5000)
+    code, out, err = run(capsys, "epsilon", "--input", str(bad))
+    assert code == 2 and "input error:" in err and "Traceback" not in err and out == ""
+
     code, _, err = run(capsys, "epsilon", "--builtin", "bogus:p=5")
     assert code == 2 and "input error" in err
 

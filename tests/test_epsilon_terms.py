@@ -24,6 +24,7 @@ from epschar.covers import synthetic_cover
 from epschar.epsilon import (
     ORACLE_STICKELBERGER,
     ORACLES,
+    LocalEpsilonVal,
     epsilon_ledgers,
     global_epsilon_valuation,
     local_epsilon,
@@ -196,3 +197,29 @@ def test_ledgers_before_an_incomplete_character_are_yielded(oracle):
     assert [char_label(next(ledgers).character) for _ in range(3)] == ["chi(0,0)", "chi(0,1)", "chi(0,2)"]
     with pytest.raises(IncompleteDatumError):
         next(ledgers)
+
+
+def test_the_oracles_agree_by_valuation_not_by_raw_fields():
+    # a term keeps its numerator over its own denominator, so terms are
+    # compared through valuation and ledgers through their totals
+    raw_differs = 0
+    for cover in _covers():
+        views = []
+        for oracle in ORACLES:
+            try:
+                views.append(list(epsilon_ledgers(cover, oracle)))
+            except EpscharError as exc:
+                views.append((type(exc), str(exc)))
+        stick, padic = views
+        if isinstance(stick, tuple):
+            assert stick == padic, cover.summary()
+            continue
+        for a, b in zip(stick, padic, strict=True):
+            assert a.character == b.character and a.total == b.total, cover.summary()
+            for x, y in zip(a.locals, b.locals, strict=True):
+                assert x.valuation == y.valuation, (cover.summary(), x, y)
+                raw_differs += x != y
+    assert raw_differs > 0
+    half = LocalEpsilonVal("q", "tame", 2, 4)
+    assert half != LocalEpsilonVal("q", "tame", 1, 2)
+    assert half.valuation == Fraction(1, 2)
