@@ -19,7 +19,8 @@ Covers come from --input FILE (the JSON schema of cover_to_json) or
   mixed
 
 Exit status: 0 all requested checks passed, 1 a check failed, 2 the
-input did not parse, 3 the datum is unsupported for the operation.
+input did not parse, 3 the datum is unsupported for the operation.  A
+reader that closes stdout early does not change the status.
 All gating numbers are exact rationals printed as a/b; floats appear
 only in non-gating sanity notes.  JSON output is deterministic
 (sorted keys) for a fixed configuration.
@@ -28,6 +29,7 @@ only in non-gating sanity notes.  JSON output is deterministic
 import argparse
 import cmath
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -208,9 +210,17 @@ def _load_cover(args):
 
 def _emit(args, table_lines, json_obj) -> None:
     if args.format == "json":
-        print(json.dumps(json_obj, sort_keys=True, indent=2))
+        text = json.dumps(json_obj, sort_keys=True, indent=2)
     else:
-        print("\n".join(table_lines))
+        text = "\n".join(table_lines)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout (| head): drop the rest without a message,
+        # and point stdout at devnull so that the flush at exit cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _frac(x) -> str:

@@ -8,7 +8,7 @@ from .covers import (
     random_weakly_ramified_cover,
     synthetic_cover,
 )
-from .errors import CapacityError
+from .errors import CapacityError, InvalidInputError
 from .groups import AbelianGroup
 
 X = (0, 1)
@@ -99,6 +99,8 @@ def mixed_synthetic_example():
 
 def synthetic_corpus(count, seed=0):
     """Random weakly ramified synthetic data; deterministic in the seed."""
+    if count < 0:
+        raise InvalidInputError(f"synthetic corpus count must be >= 0, got {count}")
     if count > MAX_SYNTHETIC_COUNT:
         raise CapacityError(
             f"synthetic corpus of {count} covers exceeds the supported "

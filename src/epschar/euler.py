@@ -206,11 +206,6 @@ def _closed_numerator(p: int, q: PlaceDatum, l: int, chi: Character) -> int:
     return sum(_g_numerator(l, e, d, p, i) for i in range(q.degree))
 
 
-def _closed_term(p: int, q: PlaceDatum, l: int, chi: Character) -> Fraction:
-    """Local term of the closed form."""
-    return Fraction(_closed_numerator(p, q, l, chi), q.e_t)
-
-
 def _direct_numerator(p: int, q: PlaceDatum, l: int, chi: Character) -> int:
     """e_t times the local term of the point enumeration.
 
@@ -235,18 +230,16 @@ def _direct_numerator(p: int, q: PlaceDatum, l: int, chi: Character) -> int:
     return num
 
 
-def _direct_term(p: int, q: PlaceDatum, l: int, chi: Character) -> Fraction:
-    """Local term of the point enumeration."""
-    return Fraction(_direct_numerator(p, q, l, chi), q.e_t)
-
-
-def _multiplicity(cover: CoverDatum, D: DivisorSpec, chi: Character, term) -> Fraction:
-    """The multiplicity of one character, from its Fraction-valued local terms."""
+def _multiplicity(cover: CoverDatum, D: DivisorSpec, chi: Character, numerator) -> Fraction:
+    """The multiplicity of one character along one route, summed as in
+    _tabled_multiplicities: integer numerators over L, then one Fraction."""
     base, places = _multiplicity_parts(cover, D)
-    total = Fraction(base)
+    L = lcm(*(q.e_t for q, _ in places))
+    total = base * L
+    p = cover.p
     for q, l in places:
-        total -= term(cover.p, q, l, chi)
-    return total
+        total -= numerator(p, q, l, chi) * (L // q.e_t)
+    return Fraction(total, L)
 
 
 def _tabled_multiplicities(cover: CoverDatum, D: DivisorSpec, numerator):
@@ -276,12 +269,12 @@ def _tabled_multiplicities(cover: CoverDatum, D: DivisorSpec, numerator):
 
 def multiplicity_closed(cover: CoverDatum, D: DivisorSpec, chi: Character) -> Fraction:
     """Closed form for the multiplicity of chi in e(psi(cover, D))."""
-    return _multiplicity(cover, D, chi, _closed_term)
+    return _multiplicity(cover, D, chi, _closed_numerator)
 
 
 def multiplicity_direct(cover: CoverDatum, D: DivisorSpec, chi: Character) -> Fraction:
     """Point-enumeration form of the multiplicity of chi in e(psi(cover, D))."""
-    return _multiplicity(cover, D, chi, _direct_term)
+    return _multiplicity(cover, D, chi, _direct_numerator)
 
 
 def multiplicities_closed(cover: CoverDatum, D: DivisorSpec = None):

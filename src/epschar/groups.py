@@ -47,6 +47,9 @@ LEVEL_MODULES = "modules"
 LEVEL_PROJECTIVES = "projectives"
 LEVELS = (LEVEL_CHAR0, LEVEL_MODULES, LEVEL_PROJECTIVES)
 
+# the coefficient of a character an element does not hold; Fractions are immutable
+_ZERO = Fraction(0)
+
 # Largest supported group order.  verify-all on a synthetic cover of this
 # order with no places takes about 10 s for the slowest shape, (Z/2)^15;
 # larger groups are refused before their elements are enumerated.
@@ -75,6 +78,7 @@ class Subgroup:
         self._characters = None
         self._keys = {}
         self._key_lists = {}
+        self._reductions = {}
         self.generators = self.basis if generators is None else tuple(generators)
 
     @staticmethod
@@ -431,10 +435,11 @@ class K0Element:
         self.p = p
         clean = {}
         for chi, coef in (coeffs or {}).items():
-            coef = Fraction(coef)
-            if coef == 0:
+            if type(coef) is not Fraction:
+                coef = Fraction(coef)
+            if not coef:
                 continue
-            if chi.domain != group:
+            if chi.domain is not group and chi.domain != group:
                 raise GroupMismatchError("basis character over the wrong group")
             if level != LEVEL_CHAR0 and not chi.has_prime_to_p_order(p):
                 raise LevelError("basis labels at modular levels must have prime-to-p order")
@@ -484,7 +489,7 @@ class K0Element:
                          {chi: c * v for chi, v in self.coeffs.items()}, self.p)
 
     def coefficient(self, chi) -> Fraction:
-        return self.coeffs.get(chi, Fraction(0))
+        return self.coeffs.get(chi, _ZERO)
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs.values())
@@ -532,11 +537,14 @@ def decomposition_map(x: K0Element, p=None) -> K0Element:
     p = p if p is not None else x.p
     if p is None:
         raise LevelError("decomposition_map needs the prime p")
+    group = x.group
+    reductions = _prime_to_p_parts(group, p)
     out = {}
     for chi, c in x.coeffs.items():
-        red = chi.prime_to_p_part(p)
-        out[red] = out.get(red, Fraction(0)) + c
-    return K0Element(x.group, LEVEL_MODULES, out, p)
+        # an equal group may label its characters by other generators
+        red = reductions[chi] if chi.domain is group else chi.prime_to_p_part(p)
+        out[red] = out.get(red, _ZERO) + c
+    return K0Element(group, LEVEL_MODULES, out, p)
 
 
 def cartan_map(x: K0Element) -> K0Element:
@@ -558,6 +566,19 @@ def e_map(x: K0Element) -> K0Element:
         for chi in fibers[theta]:
             out[chi] = out.get(chi, Fraction(0)) + c
     return K0Element(x.group, LEVEL_CHAR0, out, x.p)
+
+
+def _prime_to_p_parts(group, p) -> dict:
+    """chi -> chi.prime_to_p_part(p) for each chi of group.characters().
+
+    Memoised in the group object under p, like Subgroup._keys, and not by
+    group equality: over a proper subgroup the reductions are labelled by
+    the generators of their own domain, which equal groups need not share.
+    """
+    table = group._reductions.get(p)
+    if table is None:
+        table = group._reductions[p] = {chi: chi.prime_to_p_part(p) for chi in group.characters()}
+    return table
 
 
 @lru_cache(maxsize=None, typed=True)

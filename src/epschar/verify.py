@@ -115,7 +115,10 @@ _NORMALISATION_NOTE = "convention=standard"
 
 
 def _fmt(x):
-    return None if x is None else str(Fraction(x))
+    """x as str(Fraction(x)); an int or a Fraction already prints so."""
+    if x is None:
+        return None
+    return str(x) if type(x) is Fraction or type(x) is int else str(Fraction(x))
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +145,7 @@ def check_strong(cover: CoverDatum, oracle: str = ORACLE_PADIC) -> VerificationR
         chi = ledger.character
         lhs = -ledger.total
         euler_term = multiplicity_closed(cover, d_wild, chi)
-        wild_term = Fraction(
-            sum(q.degree for q in cover.wild_places() if chi.trivial_on(q.inertia))
-        )
+        wild_term = sum(q.degree for q in cover.wild_places() if chi.trivial_on(q.inertia))
         rhs = euler_term + wild_term
         ok = lhs == rhs
         all_eq = all_eq and ok

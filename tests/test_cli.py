@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import re
 import resource
@@ -247,6 +248,16 @@ def test_huge_synthetic_index_and_count_are_refused_fast(capsys):
         assert code == 3 and "unsupported datum" in err
 
 
+def test_negative_corpus_count_is_an_input_error(capsys):
+    for count in ("-1", "-5"):
+        code, out, err = run(capsys, "corpus", "--count", count)
+        assert code == 2 and out == "" and err.startswith("input error:")
+    code, out, err = run(capsys, "corpus", "--count", "0", "--format", "json")
+    assert code == 0 and err == ""
+    obj = json.loads(out)
+    assert obj["count"] == 0 and "synthetic" not in {c["family"] for c in obj["covers"]}
+
+
 def test_huge_prime_field_is_refused_fast(capsys):
     start = time.perf_counter()
     code, _, err = run(capsys, "gauss", "--p", "1000000000000000009", "--char", "1")
@@ -320,6 +331,22 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["valuations"]["stickelberger"] == "1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["corpus", "--count", "3"],
+    ["verify-all", "--builtin", "kummer:p=5,n=2,f=x(x-1)", "--format", "json"],
+])
+def test_a_closed_stdout_is_not_an_error(argv):
+    # the read end is closed before the child writes, so every write to
+    # stdout fails with EPIPE, as after `| head -1` has exited; stdout is
+    # block-buffered, so output left in its buffer is written again at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "epschar.cli"] + argv,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 0 and err == b""
 
 
 def test_no_numpy_import():

@@ -408,3 +408,11 @@ def test_tame_index_is_the_value_at_the_tame_generator():
             t = q.tame_generator
             for chi in cover.characters():
                 assert q.tame_index(chi) == int(chi.value(t) * q.e_t), (q, chi)
+
+
+def test_synthetic_corpus_refuses_a_negative_count():
+    for count in (-1, -(10**9)):
+        with pytest.raises(InvalidInputError):
+            synthetic_corpus(count)
+    assert synthetic_corpus(0) == []
+    assert len(synthetic_corpus(2, seed=3)) == 2

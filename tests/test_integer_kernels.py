@@ -6,9 +6,10 @@ multiplicities and the epsilon ledger total, as they read before those
 paths moved to integer numerators.  Each is compared with the package on
 the constructed corpus, the 40-cover sweep corpus, every invariance
 variant of their covers, and a datum whose wild characters carry
-overridden conductors.  _closed_term and _direct_term are the integer
-kernels _closed_numerator and _direct_numerator over e_t, and the tabled
-routes sum those kernels, so both are pinned through them.
+overridden conductors.  A route's local term is its integer kernel,
+_closed_numerator or _direct_numerator, over e_t; the tabled and the
+per-character routes both sum those kernels, so both are pinned through
+them.
 """
 
 import random
@@ -25,8 +26,8 @@ from epschar.errors import DomainError, EpscharError, IncompleteDatumError, Inva
 from epschar.euler import (
     DivisorSpec,
     _base_term,
-    _closed_term,
-    _direct_term,
+    _closed_numerator,
+    _direct_numerator,
     lm_decompose,
     multiplicities_closed,
     multiplicities_direct,
@@ -100,6 +101,16 @@ def _tame_pairs():
 
 
 # -- reference forms ----------------------------------------------------------
+
+
+def _closed_term(p, q, l, chi):
+    """The closed route's local term: its integer kernel over e_t."""
+    return Fraction(_closed_numerator(p, q, l, chi), q.e_t)
+
+
+def _direct_term(p, q, l, chi):
+    """The direct route's local term: its integer kernel over e_t."""
+    return Fraction(_direct_numerator(p, q, l, chi), q.e_t)
 
 
 def _window(x, l, e):

@@ -20,7 +20,7 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 ALLOWED = {
     "K0Element.regular": "[k[G]] is the reference term of the tabled psi in test_character_tables",
     "DivisorSpec.degree_bar": "deg(D-bar) in test_euler's Riemann-Roch check of the multiplicities",
-    "g_term": "the per-embedding term test_euler sums to check the closed route's _closed_term",
+    "g_term": "the per-embedding term test_euler sums to check the closed route's _closed_numerator",
     "CyclotomicInt.zeta": "the generator test_cyclotomic's order and Galois-twist tests start from",
     "prime_divisors": "the relevant primes of each group in test_acceptance's criterion 4",
 }

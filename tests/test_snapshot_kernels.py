@@ -28,7 +28,7 @@ from epschar.epsilon import ORACLE_STICKELBERGER, ORACLES, epsilon_ledgers
 from epschar.errors import EpscharError, IncompleteDatumError, IntegralityError, InvalidInputError
 from epschar.euler import (
     DivisorSpec,
-    _direct_term,
+    _direct_numerator,
     lm_decompose,
     multiplicities_closed,
     multiplicities_direct,
@@ -65,6 +65,11 @@ def _key_by_numerators(sub, vector):
         sum(a * w * x for a, w, x in zip(vector, root._weights, g)) % root.exponent
         for g in sub.basis
     )
+
+
+def _direct_term(p, q, l, chi):
+    """The direct route's local term: its integer kernel over e_t."""
+    return Fraction(_direct_numerator(p, q, l, chi), q.e_t)
 
 
 def _direct_term_by_trial(p, q, l, chi):
