@@ -74,9 +74,9 @@ class EpsilonLedger:
     base_term: int
     locals: tuple
 
-    @property
-    def total(self) -> Fraction:
-        """The base term plus the local terms, summed as one integer numerator.
+    def _sum(self):
+        """The base term plus the local terms as one integer numerator and
+        denominator.
 
         The common denominator grows to the lcm of the denominators met so
         far, so a ledger whose terms are all integers never takes an lcm.
@@ -87,7 +87,17 @@ class EpsilonLedger:
                 m = lcm(den, d)
                 num, den = num * (m // den), m
             num += n * (den // d)
-        return Fraction(num, den)
+        return num, den
+
+    @property
+    def total(self) -> Fraction:
+        return Fraction(*self._sum())
+
+    @property
+    def negated_total(self) -> Fraction:
+        """-total as one Fraction: the -v_p of the epsilon constant."""
+        num, den = self._sum()
+        return Fraction(-num, den)
 
     @property
     def char_name(self) -> str:
@@ -201,5 +211,5 @@ def E_element(cover: CoverDatum, oracle: str = ORACLE_STICKELBERGER) -> K0Elemen
     integrality of the coefficients is a theorem in the weakly
     ramified case and is left to the callers to check, not asserted.
     """
-    coeffs = {ledger.character: -ledger.total for ledger in epsilon_ledgers(cover, oracle)}
+    coeffs = {ledger.character: ledger.negated_total for ledger in epsilon_ledgers(cover, oracle)}
     return K0Element(cover.group, LEVEL_CHAR0, coeffs, p=cover.p)

@@ -2,18 +2,19 @@
 
 Field elements are coefficient tuples of length r over Z/p (entry i is
 the coefficient of x^i), reduced modulo a fixed monic irreducible
-modulus.  A FieldContext fixes the modulus, a multiplicative generator
-g and the power table g^0, ..., g^(q-2), so character sums downstream
-are exact table lookups.  Construction is deterministic: the modulus is
-the first monic irreducible of degree r in the numeric coefficient
-order (a_0 + a_1 p + ... smallest first) and the generator is the first
-primitive element in the same order.
+modulus.  A FieldContext fixes the modulus and a multiplicative
+generator g, and tabulates Tr(g^k) for k < q - 1, so character sums
+downstream are exact table lookups.  Construction is deterministic:
+the modulus is the first monic irreducible of degree r in the numeric
+coefficient order (a_0 + a_1 p + ... smallest first) and the generator
+is the first primitive element in the same order.
 
 The polynomial helpers work over Z/n for any n: fields and covers call
 them with n = p, and the p-adic oracle with n = p^M on the same field
-modulus.  power_table builds a table of powers by a linear map:
+modulus.  power_table streams the powers of g by a linear map:
 multiplication by g is Z/n-linear, so each power is its r x r matrix
-applied to the previous one.
+applied to the previous one.  The powers are streamed, not stored:
+each consumer keeps only what it derives from them.
 
 Intended for desk-scale fields (q <= 10**6), not for cryptography.
 """
@@ -111,8 +112,8 @@ def poly_powmod(a, e, m, n):
     return result
 
 
-def power_table(g, modulus, n, count) -> tuple:
-    """g^0, ..., g^(count-1) mod (n, modulus) as coefficient tuples.
+def power_table(g, modulus, n, count):
+    """Yield g^0, ..., g^(count-1) mod (n, modulus) as coefficient tuples.
 
     Multiplication by g is Z/n-linear: row j of its matrix holds
     coefficient j of g x^i for each basis monomial x^i, so each power
@@ -122,11 +123,10 @@ def power_table(g, modulus, n, count) -> tuple:
     cols = [poly_pad(poly_mod([0] * i + list(g), modulus, n), r) for i in range(r)]
     matrix = tuple(zip(*cols))
     t = poly_pad([1], r)
-    table = [t]
+    yield t
     for _ in range(count - 1):
         t = tuple(sum(map(mul, row, t)) % n for row in matrix)
-        table.append(t)
-    return tuple(table)
+        yield t
 
 
 def poly_is_irreducible(coeffs, p) -> bool:
@@ -158,7 +158,7 @@ def poly_is_irreducible(coeffs, p) -> bool:
 
 
 class FieldContext:
-    """Arithmetic context for F_q with fixed modulus, generator, power table."""
+    """Arithmetic context for F_q with fixed modulus and generator (its powers are not stored)."""
 
     def __init__(self, p: int, r: int):
         self.p = p
@@ -168,8 +168,6 @@ class FieldContext:
         self.zero = (0,) * r
         self.one = poly_pad([1], r)
         self.generator = self._find_generator()
-        # powers[k] = g^k for k < q - 1
-        self.powers = power_table(self.generator, self.modulus, p, self.q - 1)
 
     # -- construction -------------------------------------------------
 
@@ -243,7 +241,8 @@ class FieldContext:
         """
         p, r = self.p, self.r
         basis = [self.trace(poly_pad([0] * i + [1], r)) for i in range(r)]
-        return tuple(sum(a * t for a, t in zip(x, basis)) % p for x in self.powers)
+        powers = power_table(self.generator, self.modulus, p, self.q - 1)
+        return tuple(sum(a * t for a, t in zip(x, basis)) % p for x in powers)
 
 
 @lru_cache(maxsize=None)

@@ -515,16 +515,17 @@ class K0Element:
         return sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key)
 
 
-# A root and its full subgroup are equal groups, but their characters are
-# labeled and ordered differently; typed caches keep the two apart.
+# Equal groups label their characters by their own generators, and a root
+# and its full subgroup label and order them differently, so these caches
+# are keyed by the generators too and typed to keep the two apart.
 @lru_cache(maxsize=None, typed=True)
-def _modular_basis_cached(group, p):
+def _modular_basis_cached(group, generators, p):
     return tuple(chi for chi in group.characters() if chi.has_prime_to_p_order(p))
 
 
 def modular_basis(group, p):
     """Characters of prime-to-p order: simple and projective labels alike."""
-    return _modular_basis_cached(group, p)
+    return _modular_basis_cached(group, group.generators, p)
 
 
 # -- the cde triangle ---------------------------------------------------
@@ -560,7 +561,7 @@ def e_map(x: K0Element) -> K0Element:
     """projectives -> char0: Cov(theta) -> sum of characters over theta."""
     if x.level != LEVEL_PROJECTIVES:
         raise LevelError("e_map starts at level projectives")
-    fibers = _e_fibers(x.group, x.p)
+    fibers = _e_fibers(x.group, x.group.generators, x.p)
     out = {}
     for theta, c in x.coeffs.items():
         for chi in fibers[theta]:
@@ -582,7 +583,7 @@ def _prime_to_p_parts(group, p) -> dict:
 
 
 @lru_cache(maxsize=None, typed=True)
-def _e_fibers(group, p):
+def _e_fibers(group, generators, p):
     fibers = {theta: [] for theta in modular_basis(group, p)}
     for chi in group.characters():
         fibers[chi.prime_to_p_part(p)].append(chi)

@@ -10,8 +10,8 @@ Elements are plain int tuples in two rings:
   coefficients mod p^M instead of mod p.  Teichmueller representatives
   come from the Frobenius fixed-point iteration t -> t^q, which gains
   one digit of agreement per step, and the powers of omega = Teich(g)
-  fill this oracle's own table; nothing is shared with the
-  Stickelberger oracle.
+  fill this oracle's own table, each packed into one int; nothing is
+  shared with the Stickelberger oracle.
 
 * its extension by lambda = zeta_p - 1, a list of p-1 such tuples on
   the powers of lambda, modulo the Eisenstein relation
@@ -38,6 +38,7 @@ replaced by another member of its Frobenius orbit.
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import lshift
 
 from .errors import InvalidInputError, PrecisionError
 from .fields import FieldContext, poly_pad, poly_powmod, power_table
@@ -66,10 +67,19 @@ def teichmuller(ctx: FieldContext, x, precision: int) -> tuple:
 @lru_cache(maxsize=None)
 def _gauss_tables(ctx: FieldContext, precision: int):
     """Per-field tables: the exponents k < q-1 grouped by the trace of
-    g^k, Teichmueller powers and (1+lambda)^t slot constants."""
+    g^k, the Teichmueller powers packed one int each, the (1+lambda)^t
+    slot constants, and the width of a packed slot.
+
+    Coordinate j of omega^k sits in bits [j w, (j+1) w) for
+    w = bit_length(q p^M).  A trace bucket sums at most q-1 rows of
+    coordinates below p^M, so a packed sum never carries across slots.
+    """
     p, pM = ctx.p, ctx.p**precision
     omega = teichmuller(ctx, ctx.generator, precision)
-    teich_pow = power_table(omega, ctx.modulus, pM, ctx.q - 1)
+    width = (ctx.q * pM).bit_length()
+    shifts = range(0, width * ctx.r, width)
+    teich_pow = tuple(sum(map(lshift, row, shifts))
+                      for row in power_table(omega, ctx.modulus, pM, ctx.q - 1))
     # (1+lambda)^t has integer Witt coordinates, one per lambda slot.  For
     # t < p-1 they are the binomials C(t, j) (Pascal's rule mod p^M); only
     # t = p-1 reaches lambda^(p-1) = -sum_(j<p-1) C(p, j+1) lambda^j.
@@ -82,7 +92,7 @@ def _gauss_tables(ctx: FieldContext, precision: int):
     by_trace = [[] for _ in range(p)]
     for k, t in enumerate(ctx.trace_by_log):
         by_trace[t].append(k)
-    return tuple(map(tuple, by_trace)), teich_pow, tuple(consts)
+    return tuple(map(tuple, by_trace)), teich_pow, tuple(consts), width
 
 
 def padic_gauss_valuation(ctx: FieldContext, chi) -> Fraction:
@@ -103,16 +113,18 @@ def _gauss_valuation(ctx: FieldContext, c: int, lambda_precision: int) -> Fracti
     when the valuation is not below it.  Errors are not cached."""
     p, n = ctx.p, ctx.q - 1
     precision = lambda_precision // (p - 1) + 2
-    by_trace, teich_pow, consts = _gauss_tables(ctx, precision)
-    # tau = sum_k omega^(-c k) (1 + lambda)^(trace g^k).  Sum the
-    # Teichmueller powers in one bucket per trace value t, then scale each
-    # bucket by the slot constants of (1 + lambda)^t.  Integer sums are
+    by_trace, teich_pow, consts, width = _gauss_tables(ctx, precision)
+    shifts, mask = range(0, width * ctx.r, width), (1 << width) - 1
+    # tau = sum_k omega^(-c k) (1 + lambda)^(trace g^k).  Sum the packed
+    # Teichmueller powers in one bucket per trace value t, unpack it, then
+    # scale it by the slot constants of (1 + lambda)^t.  Integer sums are
     # exact, and v_p capped at M reads them as if reduced mod p^M.
     acc = [[0] * ctx.r for _ in range(p - 1)]
     for t, ks in enumerate(by_trace):
         if not ks:  # trace 0 over a prime field: only 0 has it
             continue
-        bucket = [sum(col) for col in zip(*[teich_pow[(-c * k) % n] for k in ks])]
+        packed = sum([teich_pow[(-c * k) % n] for k in ks])
+        bucket = [(packed >> s) & mask for s in shifts]
         for slot, const in enumerate(consts[t]):
             if const:
                 acc[slot] = [a + const * b for a, b in zip(acc[slot], bucket)]

@@ -143,7 +143,7 @@ def check_strong(cover: CoverDatum, oracle: str = ORACLE_PADIC) -> VerificationR
     all_int = True
     for ledger in epsilon_ledgers(cover, oracle):
         chi = ledger.character
-        lhs = -ledger.total
+        lhs = ledger.negated_total
         euler_term = multiplicity_closed(cover, d_wild, chi)
         wild_term = sum(q.degree for q in cover.wild_places() if chi.trivial_on(q.inertia))
         rhs = euler_term + wild_term

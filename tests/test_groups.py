@@ -186,6 +186,26 @@ def test_modular_basis_size():
         assert len(modular_basis(g, p)) == n // p_part(n, p)
 
 
+def test_equal_subgroups_keep_their_own_modular_basis_and_e_map():
+    # <2> and <10> are one subgroup of Z/12, whose characters each labels by
+    # its own generator; a cached table of one must not serve the other
+    root = AbelianGroup((12,))
+    by_two, by_ten = root.subgroup([(2,)]), root.subgroup([(10,)])
+    assert by_two == by_ten and by_two.generators != by_ten.generators
+    labels = {}
+    for group in (by_two, by_ten, by_two):
+        own = [chi for chi in group.characters() if chi.has_prime_to_p_order(2)]
+        basis = modular_basis(group, 2)
+        assert all(chi.domain.generators == group.generators for chi in basis)
+        assert [char_label(chi) for chi in basis] == [char_label(chi) for chi in own]
+        image = e_map(K0Element.regular(group, LEVEL_PROJECTIVES, 2))
+        assert all(chi.domain.generators == group.generators for chi in image.coeffs)
+        assert sorted(map(char_label, image.coeffs)) == \
+            sorted(char_label(chi) for chi in group.characters())
+        labels[group.generators] = [char_label(chi) for chi in basis]
+    assert labels[by_two.generators] != labels[by_ten.generators]
+
+
 def test_regular_element():
     g = AbelianGroup((12,))
     reg = K0Element.regular(g, LEVEL_CHAR0, None)

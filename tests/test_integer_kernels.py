@@ -227,6 +227,8 @@ def test_ledger_totals_match_the_fraction_sum():
                 got = ledger.total
                 assert got == _ledger_total_by_fractions(ledger), cover.summary()
                 assert type(got) is Fraction
+                negated = ledger.negated_total
+                assert negated == -got and type(negated) is Fraction, cover.summary()
                 ledgers += 1
         except IncompleteDatumError:
             pass

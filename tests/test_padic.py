@@ -1,11 +1,12 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from epschar.errors import PrecisionError
-from epschar.fields import PrimePower, make_field
+from epschar.fields import FieldContext, PrimePower, make_field
 from epschar.cyclotomic import MultChar
 from epschar import padic
 from epschar.padic import padic_gauss_valuation, teichmuller
@@ -188,4 +189,30 @@ def test_gauss_table_teichmuller_rows_equal_the_multiplication_chain():
         for _ in range(ctx.q - 2):
             t = _witt_mul(ctx, p**precision, t, omega)
             rows.append(t)
-        assert padic._gauss_tables(ctx, precision)[1] == tuple(rows), (p, r, precision)
+        # coordinate j of each stored int sits in slot j of width bit_length(q p^M)
+        tables = padic._gauss_tables(ctx, precision)
+        width = (ctx.q * p**precision).bit_length()
+        assert tables[3] == width
+        unpacked = tuple(tuple((v >> (j * width)) & ((1 << width) - 1) for j in range(r))
+                         for v in tables[1])
+        assert unpacked == tuple(rows), (p, r, precision)
+
+
+def test_gauss_tables_of_f_3_8_build_in_bounded_memory(monkeypatch):
+    # a fresh field and its tables, outside every lru_cache: the stored
+    # Teichmueller powers are one packed int each, and the field keeps no
+    # table of its own powers
+    tracemalloc.start()
+    try:
+        ctx = FieldContext(3, 8)
+        field_bytes = tracemalloc.get_traced_memory()[0]
+        precision = _lambda_precision(ctx) // 2 + 2
+        tables = padic._gauss_tables.__wrapped__(ctx, precision)
+        monkeypatch.setattr(padic, "_gauss_tables", lambda field, m: tables)
+        value = padic._gauss_valuation.__wrapped__(ctx, 1, _lambda_precision(ctx))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == digit_sum_valuation(PrimePower(3, 8), 1)
+    assert field_bytes < 64 * 2**10, field_bytes
+    assert peak < 1.5 * 2**20, peak
