@@ -95,7 +95,8 @@ def _int(text: str, where: str) -> int:
 def _parse_poly(text: str, p: int):
     """Ascending coefficient tuple mod p of a polynomial in x."""
     s = text.replace(" ", "")
-    if not s or not re.fullmatch(r"[0-9x^+\-]+", s):
+    # terms joined by single signs; one leading sign, none trailing or doubled
+    if not re.fullmatch(r"[+-]?[0-9x^]+(?:[+-][0-9x^]+)*", s):
         raise InvalidInputError("cannot parse polynomial %r" % text)
     coeffs = {}
     for sign, term in re.findall(r"([+-]?)([^+-]+)", s):

@@ -23,10 +23,11 @@ Elements are plain int tuples in two rings:
 padic_gauss_valuation sums the Gauss sum in the ramified ring
 (multiplicative part through Teichmueller powers, additive part through
 zeta_p = 1 + lambda, terms grouped by their trace) and reads off the
-lambda-adic valuation.  The slot constants of (1 + lambda)^t are plain
-integers: the binomial row C(t, j) for t < p-1, and for t = p-1 that
-row with lambda^(p-1) rewritten once through E(lambda).  It shares no
-formula with the Stickelberger digit count, which is the point.
+lambda-adic valuation.  Horner's rule in 1 + lambda gives the exact
+lambda^j coefficients sum_t C(t, j) B_t of the trace buckets B_t in
+O(p^3) bit operations, hence MAX_PADIC_P; lambda^(p-1) is rewritten
+once through E(lambda).  It shares no formula with the Stickelberger
+digit count, which is the point.
 
 The lambda precision is fixed by the field: |tau|^2 = q bounds
 v_p(tau) by r, that is the lambda-valuation by r(p-1), so r(p-1)+2
@@ -40,9 +41,11 @@ from functools import lru_cache
 from math import comb
 from operator import lshift
 
-from .errors import InvalidInputError, PrecisionError
+from .errors import CapacityError, InvalidInputError, PrecisionError
 from .fields import FieldContext, poly_pad, poly_powmod, power_table
 from .numutil import padic_valuation_int
+
+MAX_PADIC_P = 4500  # the first valuation at p = 4493 takes about 10 s
 
 
 def teichmuller(ctx: FieldContext, x, precision: int) -> tuple:
@@ -67,8 +70,8 @@ def teichmuller(ctx: FieldContext, x, precision: int) -> tuple:
 @lru_cache(maxsize=None)
 def _gauss_tables(ctx: FieldContext, precision: int):
     """Per-field tables: the exponents k < q-1 grouped by the trace of
-    g^k, the Teichmueller powers packed one int each, the (1+lambda)^t
-    slot constants, and the width of a packed slot.
+    g^k, the Teichmueller powers packed one int each, the Eisenstein
+    binomials C(p, j+1) mod p^M for j < p-1, and the width of a packed slot.
 
     Coordinate j of omega^k sits in bits [j w, (j+1) w) for
     w = bit_length(q p^M).  A trace bucket sums at most q-1 rows of
@@ -80,19 +83,11 @@ def _gauss_tables(ctx: FieldContext, precision: int):
     shifts = range(0, width * ctx.r, width)
     teich_pow = tuple(sum(map(lshift, row, shifts))
                       for row in power_table(omega, ctx.modulus, pM, ctx.q - 1))
-    # (1+lambda)^t has integer Witt coordinates, one per lambda slot.  For
-    # t < p-1 they are the binomials C(t, j) (Pascal's rule mod p^M); only
-    # t = p-1 reaches lambda^(p-1) = -sum_(j<p-1) C(p, j+1) lambda^j.
-    row = [1] + [0] * (p - 2)
-    consts = []
-    for _ in range(p - 1):
-        consts.append(tuple(row))
-        row = [row[0]] + [(a + b) % pM for a, b in zip(row[1:], row)]
-    consts.append(tuple((a - comb(p, j + 1)) % pM for j, a in enumerate(row)))
+    eisenstein = tuple(comb(p, j + 1) % pM for j in range(p - 1))
     by_trace = [[] for _ in range(p)]
     for k, t in enumerate(ctx.trace_by_log):
         by_trace[t].append(k)
-    return tuple(map(tuple, by_trace)), teich_pow, tuple(consts), width
+    return tuple(map(tuple, by_trace)), teich_pow, eisenstein, width
 
 
 def padic_gauss_valuation(ctx: FieldContext, chi) -> Fraction:
@@ -103,6 +98,8 @@ def padic_gauss_valuation(ctx: FieldContext, chi) -> Fraction:
     r(p-1)+2; the result is exact as a Fraction with denominator
     dividing p-1.
     """
+    if ctx.p > MAX_PADIC_P:
+        raise CapacityError(f"the p-adic oracle supports p <= {MAX_PADIC_P}, got p = {ctx.p}")
     c = int(getattr(chi, "index", chi)) % (ctx.q - 1)
     return _gauss_valuation(ctx, c, ctx.r * (ctx.p - 1) + 2)
 
@@ -113,26 +110,26 @@ def _gauss_valuation(ctx: FieldContext, c: int, lambda_precision: int) -> Fracti
     when the valuation is not below it.  Errors are not cached."""
     p, n = ctx.p, ctx.q - 1
     precision = lambda_precision // (p - 1) + 2
-    by_trace, teich_pow, consts, width = _gauss_tables(ctx, precision)
+    by_trace, teich_pow, eisenstein, width = _gauss_tables(ctx, precision)
     shifts, mask = range(0, width * ctx.r, width), (1 << width) - 1
-    # tau = sum_k omega^(-c k) (1 + lambda)^(trace g^k).  Sum the packed
-    # Teichmueller powers in one bucket per trace value t, unpack it, then
-    # scale it by the slot constants of (1 + lambda)^t.  Integer sums are
-    # exact, and v_p capped at M reads them as if reduced mod p^M.
-    acc = [[0] * ctx.r for _ in range(p - 1)]
-    for t, ks in enumerate(by_trace):
-        if not ks:  # trace 0 over a prime field: only 0 has it
-            continue
+    # tau = sum_t B_t (1 + lambda)^t, B_t the packed omega^(-c k) of trace t.
+    # Horner's rule from t = p-1 down leaves coordinate i of the lambda^j
+    # coefficient sum_t C(t, j) B_t < 2^(p-1) q p^M in slot j of acc[i]; slots
+    # of width + p bits never carry, and v_p capped at M reads the exact sums.
+    acc, wide = [0] * ctx.r, width + p
+    for ks in reversed(by_trace):
         packed = sum([teich_pow[(-c * k) % n] for k in ks])
-        bucket = [(packed >> s) & mask for s in shifts]
-        for slot, const in enumerate(consts[t]):
-            if const:
-                acc[slot] = [a + const * b for a, b in zip(acc[slot], bucket)]
+        acc = [a + (a << wide) + ((packed >> s) & mask) for a, s in zip(acc, shifts)]
+    mask = (1 << wide) - 1
+    rows = [[(a >> (j * wide)) & mask for a in acc] for j in range(p)]
+    # only t = p-1 reaches lambda^(p-1) = -sum_(j<p-1) C(p, j+1) lambda^j
+    top = rows.pop()
+    rows = [[v - e * t for v, t in zip(row, top)] for row, e in zip(rows, eisenstein)]
     # a coordinate of v_p = k in slot j is lambda^j p^k times a unit, of
     # valuation j + k(p-1); an all-zero slot 0 reads the cap (p-1)M
     val = min(
         j + (p - 1) * min(padic_valuation_int(v, p, precision) for v in row)
-        for j, row in enumerate(acc)
+        for j, row in enumerate(rows)
     )
     if val >= lambda_precision:
         raise PrecisionError(

@@ -265,6 +265,28 @@ def test_huge_prime_field_is_refused_fast(capsys):
     assert code == 3 and "unsupported datum" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["gauss", "--p", "10007", "--char", "1"],
+    ["gauss", "--p", "10007", "--char", "1", "--oracle", "padic"],
+    ["verify-strong", "--builtin", "kummer:p=10007,n=2,f=x(x-1)"],
+])
+def test_p_adic_oracle_past_its_prime_bound_is_refused_fast(args, capsys):
+    # refused before the per-field tables of F_10007 are built
+    start = time.perf_counter()
+    code, _, err = run(capsys, *args)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and "unsupported datum" in err and "p <= 4500" in err
+
+
+def test_stickelberger_oracle_runs_past_the_p_adic_bound(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gauss", "--p", "10007", "--char", "1",
+                         "--oracle", "stickelberger", "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    assert json.loads(out)["valuations"] == {"stickelberger": "1/10006"}
+
+
 @pytest.mark.parametrize("spec", [
     "kummer:p=1000000000000000003,n=2,f=x",
     "as:p=1000000000000000003,f=1/x",
@@ -322,6 +344,12 @@ def test_dsl_factors():
         cover_from_dsl("synthetic:index=-1")
 
 
+@pytest.mark.parametrize("f", ["1/x+", "1/x(x++1)", "1/x(x+-1)"])
+def test_dsl_refuses_a_dangling_or_doubled_sign(f, capsys):
+    code, out, err = run(capsys, "epsilon", "--builtin", "as:p=3,f=" + f)
+    assert code == 2 and out == "" and err.startswith("input error: cannot parse polynomial")
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "epschar.cli", "gauss", "--p", "2", "--r", "2",
@@ -363,7 +391,8 @@ def _cap_address_space():
 
 
 def test_large_gauss_runs_in_bounded_memory():
-    # the p-adic oracle and the |tau|^2 float note are both O(q); neither
+    # the |tau|^2 float note is O(q) and the p-adic oracle O(q + p^3) in
+    # bit operations, with one int of p slots per coordinate; neither
     # builds Phi_m for m = lcm(211, 210) = 44310
     proc = subprocess.run(
         [sys.executable, "-m", "epschar.cli", "gauss", "--p", "211", "--char", "1",

@@ -103,7 +103,8 @@ BUILTINS = (["mixed", "kummer:p=5,n=2,f=x(x-1)", "kummer:p=7,n=3,f=x(x-1)", "as:
             ["", "bogus", "kummer:p=4,n=2,f=x", "kummer:p=5,n=2", "kummer:p=5,n=2,f=x(x-1",
              "kummer:p=5,n=3,f=x", "as:p=2,f=x", "kummer:p=5,n=2,f=(x^30000000+1)",
              "kummer:p=" + TOO_LONG + ",n=2,f=x", "synthetic:seed=x", "synthetic:index=-1",
-             "synthetic:seed=0,index=" + HUGE, "synthetic:seed=1,index=100000"])
+             "synthetic:seed=0,index=" + HUGE, "synthetic:seed=1,index=100000",
+             "as:p=3,f=1/x+", "as:p=3,f=1/x(x++1)", "as:p=3,f=1/x(x+-1)"])
 INPUT_BASES = [mixed_synthetic_example(), kummer_cover(5, 2, [((0, 1), 1), ((4, 1), 1)]),
                artin_schreier_cover(2, [((0, 1), -1), ((1, 1), -1)])]
 ODD_VALUES = [None, True, "x", [], {}, 1.5, -1, 0, 7, 10**400, [[1, 2, 3]]]

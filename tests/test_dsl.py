@@ -13,8 +13,9 @@ from epschar.fields import poly_is_irreducible
 
 X = (0, 1)
 
-# f= strings at p = 5 and what the parser made of them when its grammar
-# was first written down; None means InvalidInputError
+# f= strings at p = 5 and what the parser makes of them; None means
+# InvalidInputError.  A sign must be followed by a term: one leading sign
+# keeps its meaning, a trailing or doubled sign is refused
 PINNED = [
     ("x(x-1)", [(X, 1), ((4, 1), 1)]),
     ("x^2(x+4)", [(X, 2), ((4, 1), 1)]),
@@ -32,6 +33,14 @@ PINNED = [
     ("()", None),
     ("1/", None),
     ("", None),
+    ("(+x+1)", [((1, 1), 1)]),
+    ("(-x^2+x)", [((0, 1, 4), 1)]),
+    ("x+", None),
+    ("x(x++1)", None),
+    ("x(x+-1)", None),
+    ("x(x-)", None),
+    ("(--x)", None),
+    ("(+)", None),
 ]
 
 

@@ -9,6 +9,7 @@ from epschar.errors import PrecisionError
 from epschar.fields import FieldContext, PrimePower, make_field
 from epschar.cyclotomic import MultChar
 from epschar import padic
+from epschar.numutil import padic_valuation_int
 from epschar.padic import padic_gauss_valuation, teichmuller
 from epschar.stickelberger import digit_sum_valuation
 
@@ -159,13 +160,39 @@ def _stepwise_slot_constants(p, precision):
     return tuple(rows)
 
 
-def test_gauss_table_slot_constants_match_stepwise_multiplication():
+def _slot_constant_valuation(ctx, c, lambda_precision):
+    """(p-1) times the lambda-adic valuation of tau(chi_c), capped at
+    (p-1)M and assembled bucket by bucket: the Teichmueller powers by the
+    _witt_mul chain, summed per trace value t, each bucket scaled by the
+    stepwise slot constants of (1+lambda)^t."""
+    p, n = ctx.p, ctx.q - 1
+    precision = lambda_precision // (p - 1) + 2
+    pM = p**precision
+    omega = teichmuller(ctx, ctx.generator, precision)
+    powers = [ctx.one]
+    for _ in range(n - 1):
+        powers.append(_witt_mul(ctx, pM, powers[-1], omega))
+    buckets = [[0] * ctx.r for _ in range(p)]
+    for k, t in enumerate(ctx.trace_by_log):
+        buckets[t] = [a + b for a, b in zip(buckets[t], powers[(-c * k) % n])]
+    acc = [[0] * ctx.r for _ in range(p - 1)]
+    for bucket, consts in zip(buckets, _stepwise_slot_constants(p, precision)):
+        for j, const in enumerate(consts):
+            acc[j] = [a + const * b for a, b in zip(acc[j], bucket)]
+    return min(j + (p - 1) * min(padic_valuation_int(v, p, precision) for v in row)
+               for j, row in enumerate(acc))
+
+
+def test_gauss_valuation_matches_the_slot_constant_assembly():
+    # every character, at the oracle's lambda precision and three above it
     for p in (2, 3, 5, 7, 11, 13):
         for r in (1, 2):
             ctx = make_field(p, r)
-            for precision in sorted({1, 2, r + 2}):
-                consts = padic._gauss_tables(ctx, precision)[2]
-                assert consts == _stepwise_slot_constants(p, precision), (p, r, precision)
+            for lambda_precision in (r * (p - 1) + 2, r * (p - 1) + 5):
+                for c in range(ctx.q - 1):
+                    val = _slot_constant_valuation(ctx, c, lambda_precision)
+                    assert padic._gauss_valuation(ctx, c, lambda_precision) == \
+                        Fraction(val, p - 1), (p, r, lambda_precision, c)
 
 
 def test_padic_matches_digit_sum_at_large_primes():
@@ -216,3 +243,21 @@ def test_gauss_tables_of_f_3_8_build_in_bounded_memory(monkeypatch):
     assert value == digit_sum_valuation(PrimePower(3, 8), 1)
     assert field_bytes < 64 * 2**10, field_bytes
     assert peak < 1.5 * 2**20, peak
+
+
+def test_gauss_valuation_over_f_1009_runs_in_bounded_memory(monkeypatch):
+    # a fresh prime field, its tables and one valuation, outside every
+    # lru_cache: Horner's rule keeps one int of p slots per coordinate,
+    # and the tables hold no row per power of 1 + lambda
+    tracemalloc.start()
+    try:
+        ctx = FieldContext(1009, 1)
+        precision = _lambda_precision(ctx) // 1008 + 2
+        tables = padic._gauss_tables.__wrapped__(ctx, precision)
+        monkeypatch.setattr(padic, "_gauss_tables", lambda field, m: tables)
+        value = padic._gauss_valuation.__wrapped__(ctx, 1, _lambda_precision(ctx))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == digit_sum_valuation(PrimePower(1009, 1), 1)
+    assert peak < 2 * 2**20, peak
