@@ -340,7 +340,7 @@ def _cmd_euler(args) -> int:
             lines.append("  %-14s %s" % (char_label(theta), _frac(c)))
     status = 0
     rows = []
-    total = Fraction(0)
+    total = 0
     for chi in cover.characters():
         closed = multiplicity_closed(cover, divisor, chi)
         direct = multiplicity_direct(cover, divisor, chi)

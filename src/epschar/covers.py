@@ -331,10 +331,6 @@ class CoverDatum:
     meta: dict = field(default_factory=dict)
     g_cover: int = None
 
-    @property
-    def n(self) -> int:
-        return self.group.order
-
     def characters(self):
         return self.group.characters()
 

@@ -13,8 +13,9 @@ Two independent oracles compute the tame Gauss valuation: the
 fractional-part (digit sum) formula and an explicit p-adic expansion
 of the Gauss sum itself.  Each local term is an integer numerator and
 denominator from one kernel, which the per-character and the tabled
-ledgers both call; the ledgers build a Fraction only where a reader
-asks for one, a term's valuation or a ledger's total.
+ledgers both call.  A term's valuation and a ledger's total are exact:
+an int when the value is integral, as it is for every total in the
+weakly ramified case, and a Fraction only otherwise.
 
 The normalisation is the standard one of the functional equations of
 Artin L-functions, with geometric Frobenius (Deligne, "Les constantes
@@ -36,6 +37,7 @@ from .covers import CoverDatum, PlaceDatum
 from .errors import InvalidInputError, UnsupportedCoverError
 from .fields import make_field
 from .groups import Character, K0Element, LEVEL_CHAR0, char_label
+from .numutil import exact_ratio
 from .padic import padic_gauss_valuation
 from .cyclotomic import MultChar
 from .stickelberger import c_from_d, stickelberger_numerator
@@ -62,8 +64,8 @@ class LocalEpsilonVal(NamedTuple):
     gauss_index: int = 0  # multiplicative index over the residue field when tame
 
     @property
-    def valuation(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
+    def valuation(self) -> int | Fraction:
+        return exact_ratio(self.numerator, self.denominator)
 
 
 @dataclass
@@ -90,14 +92,14 @@ class EpsilonLedger:
         return num, den
 
     @property
-    def total(self) -> Fraction:
-        return Fraction(*self._sum())
+    def total(self) -> int | Fraction:
+        return exact_ratio(*self._sum())
 
     @property
-    def negated_total(self) -> Fraction:
-        """-total as one Fraction: the -v_p of the epsilon constant."""
+    def negated_total(self) -> int | Fraction:
+        """-total: the -v_p of the epsilon constant."""
         num, den = self._sum()
-        return Fraction(-num, den)
+        return exact_ratio(-num, den)
 
     @property
     def char_name(self) -> str:

@@ -7,7 +7,8 @@ explicit three-summand formula over the ramified places; despite a
 asserted.  The multiplicity of a character in e(psi) is computed by
 three independent routes (a closed formula, a point-by-point
 enumeration, and the pairing through the cde maps), whose agreement
-is one of the package's acceptance checks.
+is one of the package's acceptance checks.  A multiplicity is exact:
+an int when it is integral, and a Fraction only otherwise.
 """
 
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from .groups import (
     induce,
     modular_basis,
 )
+from .numutil import exact_ratio
 
 
 @dataclass(frozen=True)
@@ -230,16 +232,16 @@ def _direct_numerator(p: int, q: PlaceDatum, l: int, chi: Character) -> int:
     return num
 
 
-def _multiplicity(cover: CoverDatum, D: DivisorSpec, chi: Character, numerator) -> Fraction:
+def _multiplicity(cover: CoverDatum, D: DivisorSpec, chi: Character, numerator):
     """The multiplicity of one character along one route, summed as in
-    _tabled_multiplicities: integer numerators over L, then one Fraction."""
+    _tabled_multiplicities: integer numerators over L, then one exact_ratio."""
     base, places = _multiplicity_parts(cover, D)
     L = lcm(*(q.e_t for q, _ in places))
     total = base * L
     p = cover.p
     for q, l in places:
         total -= numerator(p, q, l, chi) * (L // q.e_t)
-    return Fraction(total, L)
+    return exact_ratio(total, L)
 
 
 def _tabled_multiplicities(cover: CoverDatum, D: DivisorSpec, numerator):
@@ -250,7 +252,7 @@ def _tabled_multiplicities(cover: CoverDatum, D: DivisorSpec, numerator):
     group, so each place keeps its own table of terms under that key;
     the tables live for one call and one route.  Every term is kept as
     an integer numerator over L, the lcm of the e_t of the places, and
-    each multiplicity is one Fraction.
+    each multiplicity is one exact_ratio.
     """
     base, places = _multiplicity_parts(cover, D)
     L = lcm(*(q.e_t for q, _ in places))
@@ -264,15 +266,15 @@ def _tabled_multiplicities(cover: CoverDatum, D: DivisorSpec, numerator):
             if t is None:
                 t = table[k] = numerator(p, q, l, chi) * scale
             totals[i] -= t
-    return [Fraction(total, L) for total in totals]
+    return [exact_ratio(total, L) for total in totals]
 
 
-def multiplicity_closed(cover: CoverDatum, D: DivisorSpec, chi: Character) -> Fraction:
+def multiplicity_closed(cover: CoverDatum, D: DivisorSpec, chi: Character) -> int | Fraction:
     """Closed form for the multiplicity of chi in e(psi(cover, D))."""
     return _multiplicity(cover, D, chi, _closed_numerator)
 
 
-def multiplicity_direct(cover: CoverDatum, D: DivisorSpec, chi: Character) -> Fraction:
+def multiplicity_direct(cover: CoverDatum, D: DivisorSpec, chi: Character) -> int | Fraction:
     """Point-enumeration form of the multiplicity of chi in e(psi(cover, D))."""
     return _multiplicity(cover, D, chi, _direct_numerator)
 

@@ -24,7 +24,8 @@ K0Element models virtual modules at one of three levels:
 
 decomposition_map (d), cartan_map (c) and e_map (e) form the usual
 commuting triangle c = d o e; restrict and induce are exact-adjoint as
-Frobenius reciprocity demands, and all coefficients are Fractions.
+Frobenius reciprocity demands.  Every coefficient is exact: an int when
+it is integral, and a Fraction only otherwise.
 """
 
 from fractions import Fraction
@@ -46,9 +47,6 @@ LEVEL_CHAR0 = "char0"
 LEVEL_MODULES = "modules"
 LEVEL_PROJECTIVES = "projectives"
 LEVELS = (LEVEL_CHAR0, LEVEL_MODULES, LEVEL_PROJECTIVES)
-
-# the coefficient of a character an element does not hold; Fractions are immutable
-_ZERO = Fraction(0)
 
 # Largest supported group order.  verify-all on a synthetic cover of this
 # order with no places takes about 10 s for the slowest shape, (Z/2)^15;
@@ -127,9 +125,6 @@ class Subgroup:
 
     def mul(self, a, b):
         return tuple((x + y) % n for x, y, n in zip(a, b, self.root.invariant_factors))
-
-    def inv(self, a):
-        return tuple((-x) % n for x, n in zip(a, self.root.invariant_factors))
 
     def element_order(self, a) -> int:
         return lcm(1, *(n // gcd(x, n) for x, n in zip(a, self.root.invariant_factors)))
@@ -420,6 +415,14 @@ def char_label(chi: Character) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _exact(x):
+    """x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class K0Element:
     """Virtual module over a group at one of the three levels."""
 
@@ -435,8 +438,8 @@ class K0Element:
         self.p = p
         clean = {}
         for chi, coef in (coeffs or {}).items():
-            if type(coef) is not Fraction:
-                coef = Fraction(coef)
+            if type(coef) is not int:
+                coef = _exact(coef)
             if not coef:
                 continue
             if chi.domain is not group and chi.domain != group:
@@ -454,7 +457,7 @@ class K0Element:
 
     @staticmethod
     def of_character(chi: Character, level=LEVEL_CHAR0, p=None):
-        return K0Element(chi.domain, level, {chi: Fraction(1)}, p)
+        return K0Element(chi.domain, level, {chi: 1}, p)
 
     @staticmethod
     def regular(group, level, p):
@@ -463,7 +466,7 @@ class K0Element:
             basis = group.characters()
         else:
             basis = modular_basis(group, p)
-        return K0Element(group, level, {chi: Fraction(1) for chi in basis}, p)
+        return K0Element(group, level, {chi: 1 for chi in basis}, p)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -477,19 +480,19 @@ class K0Element:
         self._check_compatible(other)
         out = dict(self.coeffs)
         for chi, c in other.coeffs.items():
-            out[chi] = out.get(chi, Fraction(0)) + c
+            out[chi] = out.get(chi, 0) + c
         return K0Element(self.group, self.level, out, self.p or other.p)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _exact(c)
         return K0Element(self.group, self.level,
                          {chi: c * v for chi, v in self.coeffs.items()}, self.p)
 
-    def coefficient(self, chi) -> Fraction:
-        return self.coeffs.get(chi, _ZERO)
+    def coefficient(self, chi) -> int | Fraction:
+        return self.coeffs.get(chi, 0)
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs.values())
@@ -544,7 +547,7 @@ def decomposition_map(x: K0Element, p=None) -> K0Element:
     for chi, c in x.coeffs.items():
         # an equal group may label its characters by other generators
         red = reductions[chi] if chi.domain is group else chi.prime_to_p_part(p)
-        out[red] = out.get(red, _ZERO) + c
+        out[red] = out.get(red, 0) + c
     return K0Element(group, LEVEL_MODULES, out, p)
 
 
@@ -565,7 +568,7 @@ def e_map(x: K0Element) -> K0Element:
     out = {}
     for theta, c in x.coeffs.items():
         for chi in fibers[theta]:
-            out[chi] = out.get(chi, Fraction(0)) + c
+            out[chi] = out.get(chi, 0) + c
     return K0Element(x.group, LEVEL_CHAR0, out, x.p)
 
 
@@ -590,7 +593,7 @@ def _e_fibers(group, generators, p):
     return fibers
 
 
-def pairing(x: K0Element, y: K0Element) -> Fraction:
+def pairing(x: K0Element, y: K0Element) -> int | Fraction:
     """Orthonormal character pairing (char0 x char0), or <Cov theta, M>."""
     if x.group != y.group:
         raise GroupMismatchError("pairing needs a common group")
@@ -598,10 +601,10 @@ def pairing(x: K0Element, y: K0Element) -> Fraction:
         (x.level == LEVEL_PROJECTIVES and y.level == LEVEL_MODULES)
     if not ok:
         raise LevelError(f"no pairing between {x.level} and {y.level}")
-    total = Fraction(0)
+    total = 0
     for chi, c in x.coeffs.items():
         total += c * y.coefficient(chi)
-    return total
+    return _exact(total)
 
 
 def restrict(x: K0Element, sub) -> K0Element:
@@ -613,7 +616,7 @@ def restrict(x: K0Element, sub) -> K0Element:
     out = {}
     for chi, c in x.coeffs.items():
         res = Character(sub, chi.vector)
-        out[res] = out.get(res, Fraction(0)) + c
+        out[res] = out.get(res, 0) + c
     return K0Element(sub, x.level, out, x.p)
 
 

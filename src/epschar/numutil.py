@@ -1,6 +1,12 @@
 """Small exact number-theory helpers used throughout the package."""
 
+from fractions import Fraction
 from math import gcd
+
+
+def exact_ratio(num: int, den: int) -> int | Fraction:
+    """num / den exactly: an int when den divides num, else a Fraction."""
+    return num // den if num % den == 0 else Fraction(num, den)
 
 
 def is_prime(n: int) -> bool:

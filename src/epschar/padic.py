@@ -26,8 +26,9 @@ zeta_p = 1 + lambda, terms grouped by their trace) and reads off the
 lambda-adic valuation.  Horner's rule in 1 + lambda gives the exact
 lambda^j coefficients sum_t C(t, j) B_t of the trace buckets B_t in
 O(p^3) bit operations, hence MAX_PADIC_P; lambda^(p-1) is rewritten
-once through E(lambda).  It shares no formula with the Stickelberger
-digit count, which is the point.
+once through E(lambda).  The table of Teichmueller powers holds
+(q-1) r bit_length(q p^M) bits, hence MAX_PADIC_TABLE_BITS.  It shares
+no formula with the Stickelberger digit count, which is the point.
 
 The lambda precision is fixed by the field: |tau|^2 = q bounds
 v_p(tau) by r, that is the lambda-valuation by r(p-1), so r(p-1)+2
@@ -46,6 +47,11 @@ from .fields import FieldContext, poly_pad, poly_powmod, power_table
 from .numutil import padic_valuation_int
 
 MAX_PADIC_P = 4500  # the first valuation at p = 4493 takes about 10 s
+# Largest table of packed Teichmueller powers, (q-1) r bit_length(q p^M)
+# bits; building it is most of a field's first valuation.  The largest
+# admitted shape, F_31^4 at 1.85e8 bits, takes 6-10 s; F_7^7 (2.6e8) and
+# F_3^12 (2.7e8) took 11-19 s and are refused.
+MAX_PADIC_TABLE_BITS = 2 * 10**8
 
 
 def teichmuller(ctx: FieldContext, x, precision: int) -> tuple:
@@ -72,14 +78,20 @@ def _gauss_tables(ctx: FieldContext, precision: int):
     """Per-field tables: the exponents k < q-1 grouped by the trace of
     g^k, the Teichmueller powers packed one int each, the Eisenstein
     binomials C(p, j+1) mod p^M for j < p-1, and the width of a packed slot.
+    A field whose packed powers would pass MAX_PADIC_TABLE_BITS raises
+    CapacityError before anything is built.
 
     Coordinate j of omega^k sits in bits [j w, (j+1) w) for
     w = bit_length(q p^M).  A trace bucket sums at most q-1 rows of
     coordinates below p^M, so a packed sum never carries across slots.
     """
     p, pM = ctx.p, ctx.p**precision
-    omega = teichmuller(ctx, ctx.generator, precision)
     width = (ctx.q * pM).bit_length()
+    bits = (ctx.q - 1) * ctx.r * width
+    if bits > MAX_PADIC_TABLE_BITS:
+        raise CapacityError(f"the p-adic oracle supports tables of at most {MAX_PADIC_TABLE_BITS} "
+                            f"bits; F_{p}^{ctx.r} needs {bits}")
+    omega = teichmuller(ctx, ctx.generator, precision)
     shifts = range(0, width * ctx.r, width)
     teich_pow = tuple(sum(map(lshift, row, shifts))
                       for row in power_table(omega, ctx.modulus, pM, ctx.q - 1))

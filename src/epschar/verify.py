@@ -2,8 +2,9 @@
 
 Every check produces a VerificationReport: a list of rows comparing two
 exact rational quantities computed along independent code paths, plus
-aggregate pass flags.  All gating comparisons are Fraction equalities;
-nothing here touches floating point.
+aggregate pass flags.  A quantity is an int when it is integral and a
+Fraction only otherwise, so every gating comparison is an exact
+equality; nothing here touches floating point.
 
 The four checks:
 
@@ -343,9 +344,9 @@ def check_invariance(cover: CoverDatum) -> VerificationReport:
         rows.append(
             ReportRow(
                 label=label,
-                lhs=Fraction(mismatched),
-                rhs=Fraction(0),
-                parts=(("quantities", Fraction(len(base))),),
+                lhs=mismatched,
+                rhs=0,
+                parts=(("quantities", len(base)),),
                 passed=ok,
             )
         )

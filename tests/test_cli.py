@@ -278,6 +278,19 @@ def test_p_adic_oracle_past_its_prime_bound_is_refused_fast(args, capsys):
     assert code == 3 and "unsupported datum" in err and "p <= 4500" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["gauss", "--p", "3", "--r", "12", "--char", "1"],
+    ["gauss", "--p", "3", "--r", "12", "--char", "1", "--oracle", "padic"],
+])
+def test_p_adic_oracle_past_its_table_bound_is_refused_fast(args, capsys):
+    # F_3^12's packed Teichmueller powers would hold 2.7e8 bits; refused
+    # before the field's trace table or the p-adic tables are built
+    start = time.perf_counter()
+    code, _, err = run(capsys, *args)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and "unsupported datum" in err and "at most 200000000 bits" in err
+
+
 def test_stickelberger_oracle_runs_past_the_p_adic_bound(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "gauss", "--p", "10007", "--char", "1",

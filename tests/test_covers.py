@@ -78,7 +78,7 @@ def test_divisor_completed_and_labels():
 
 def test_kummer_quadratic():
     cov = kummer_cover(5, 2, [((0, 1), 1), ((4, 1), 1)])
-    assert cov.n == 2 and cov.g_base == 0 and cov.r == 1
+    assert cov.group.order == 2 and cov.g_base == 0 and cov.r == 1
     assert cov.g_cover == 0
     assert sorted(q.label for q in cov.places) == ["x", "x+4"]
     for q in cov.places:
@@ -149,7 +149,7 @@ def test_kummer_genus_table():
 
 def test_artin_schreier_basic():
     cov = artin_schreier_cover(2, [((0, 1), -1)])
-    assert cov.g_cover == 0 and cov.n == 2
+    assert cov.g_cover == 0 and cov.group.order == 2
     (q,) = cov.places
     assert q.label == "x"
     assert (q.e, q.e_t, q.e_w, q.f) == (2, 1, 2, 1)

@@ -2,7 +2,9 @@
 
 A definition counts as read when code in src/, demos/ or perfbench/
 names it: as a variable, an attribute or an imported name, or as a part
-of a dotted target that perfbench/tracer.py resolves from a string.
+of a dotted target that perfbench/tracer.py resolves from a string.  A
+method or property is read only through an attribute access or a tracer
+target, so a local variable of the same name does not count for it.
 Words in comments and docstrings do not count.  Dunder methods are
 called by the language and are not checked.
 """
@@ -27,20 +29,21 @@ ALLOWED = {
 
 
 def _definitions():
-    """(qualified name, bare name) for every def and class in the package."""
+    """(qualified name, bare name, whether a class holds it) for every def
+    and class in the package."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
 
-        def walk(node, prefix):
+        def walk(node, prefix, in_class):
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    out.append((prefix + child.name, child.name))
-                    walk(child, prefix + child.name + ".")
+                    out.append((prefix + child.name, child.name, in_class))
+                    walk(child, prefix + child.name + ".", isinstance(child, ast.ClassDef))
                 else:
-                    walk(child, prefix)
+                    walk(child, prefix, in_class)
 
-        walk(tree, "")
+        walk(tree, "", False)
     return out
 
 
@@ -56,7 +59,9 @@ def _tracer_names():
 
 
 def _name_counts():
+    """Reads of each name anywhere, and reads through an attribute or a tracer target."""
     counts = collections.Counter(_tracer_names())
+    members = collections.Counter(counts)
     for top in SEARCHED:
         for path in (ROOT / top).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -64,17 +69,19 @@ def _name_counts():
                     counts[node.id] += 1
                 elif isinstance(node, ast.Attribute):
                     counts[node.attr] += 1
+                    members[node.attr] += 1
                 elif isinstance(node, ast.alias):
                     counts.update(node.name.split("."))
-    return counts
+    return counts, members
 
 
 def _unread():
-    counts = _name_counts()
+    counts, members = _name_counts()
     return sorted(
         qualified
-        for qualified, name in _definitions()
-        if not (name.startswith("__") and name.endswith("__")) and not counts[name]
+        for qualified, name, in_class in _definitions()
+        if not (name.startswith("__") and name.endswith("__"))
+        and not (members if in_class else counts)[name]
     )
 
 
@@ -83,5 +90,5 @@ def test_every_definition_is_read_outside_its_def_line():
 
 
 def test_the_allowlist_names_existing_definitions():
-    qualified = {q for q, _ in _definitions()}
+    qualified = {q for q, _, _ in _definitions()}
     assert set(ALLOWED) <= qualified

@@ -1,12 +1,13 @@
 """Pins for the report path of check_strong and check_weak.
 
-K0Element keeps Fraction coefficients as they are and checks a label's
-group by identity before equality; decomposition_map reads each
-character's prime-to-p part from a table memoised on the group object;
-_fmt prints ints and Fractions without wrapping them again.  Each is
-compared with an in-test copy of the plain form it replaced: the
-constructor that converted every coefficient, the per-character
-prime_to_p_part rule and str(Fraction(x)).
+K0Element keeps an int coefficient as it is, turns an integral Fraction
+into its numerator and checks a label's group by identity before
+equality; decomposition_map reads each character's prime-to-p part
+from a table memoised on the group object; _fmt prints ints and
+Fractions without wrapping them again.  Each is compared with an
+in-test copy of the plain form it replaced: the constructor that
+converted every coefficient, the per-character prime_to_p_part rule and
+str(Fraction(x)).
 """
 
 from fractions import Fraction
@@ -73,6 +74,11 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _is_exact(v):
+    """An int exactly when v is integral, else a Fraction."""
+    return type(v) is (int if v.denominator == 1 else Fraction)
+
+
 def _shown(x):
     """An element as its printed form: (label, coefficient) in dict order."""
     return [(char_label(chi), c) for chi, c in x.coeffs.items()]
@@ -109,7 +115,7 @@ def test_constructor_keeps_the_outcome_of_converting_every_coefficient():
         got = _outcome(lambda: K0Element(group, level, coeffs, p).coeffs)
         assert got == want, (level, p, coeffs)
         if isinstance(want, dict):
-            assert all(type(c) is Fraction for c in got.values())
+            assert all(_is_exact(c) for c in got.values())
             outcomes.add("kept")
         else:
             outcomes.add(want[0])
@@ -132,7 +138,7 @@ def test_constructor_errors_and_zeros():
     assert x.coeffs == {}
     x = K0Element(g6, LEVEL_CHAR0, {chi[1]: 3, chi[2]: -1})
     assert x.coeffs == {chi[1]: 3, chi[2]: -1}
-    assert all(type(c) is Fraction for c in x.coeffs.values())
+    assert all(_is_exact(c) for c in x.coeffs.values())
     # an equal group object passes the equality fallback
     full = g6.full_subgroup()
     assert K0Element(full, LEVEL_CHAR0, {chi[1]: 1}).coeffs == {chi[1]: 1}
