@@ -32,7 +32,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from .errors import (
     CapacityError,
@@ -61,6 +60,7 @@ from .covers import (
 )
 from .corpus import constructed_corpus, mixed_synthetic_example, synthetic_corpus
 from .epsilon import ORACLE_PADIC, ORACLE_STICKELBERGER, global_epsilon_valuation
+from .numutil import exact_str
 from .euler import DivisorSpec, multiplicity_closed, multiplicity_direct, psi_structure
 from .verify import check_strong, check_weak, full_verification
 
@@ -224,10 +224,6 @@ def _emit(args, table_lines, json_obj) -> None:
         os.close(devnull)
 
 
-def _frac(x) -> str:
-    return str(Fraction(x))
-
-
 # -- subcommands ------------------------------------------------------------
 
 
@@ -249,7 +245,7 @@ def _cmd_gauss(args) -> int:
     abs2 = abs(tau) ** 2
     lines = ["gauss sum over F_%d, multiplicative character index %d" % (q, index)]
     for oracle in sorted(values):
-        lines.append("  %-14s %s" % (oracle, _frac(values[oracle])))
+        lines.append("  %-14s %s" % (oracle, exact_str(values[oracle])))
     if agree is not None:
         lines.append("  oracles agree: %s" % agree)
     lines.append("  |tau|^2 = %.6f (float sanity, expect %d)" % (abs2, q if index else 1))
@@ -261,7 +257,7 @@ def _cmd_gauss(args) -> int:
             "p": args.p,
             "r": args.r,
             "char": index,
-            "valuations": {k: _frac(v) for k, v in values.items()},
+            "valuations": {k: exact_str(v) for k, v in values.items()},
             "agree": agree,
             "abs2": abs2,
         },
@@ -285,22 +281,22 @@ def _cmd_epsilon(args) -> int:
         if len(oracles) > 1:
             lines.append(
                 "    oracle totals: "
-                + ", ".join("%s=%s" % (o, _frac(t)) for o, t in sorted(totals.items()))
+                + ", ".join("%s=%s" % (o, exact_str(t)) for o, t in sorted(totals.items()))
             )
         chars.append(
             {
                 "char": char_label(chi),
-                "base": _frac(first.base_term),
+                "base": exact_str(first.base_term),
                 "locals": [
                     {
                         "place": lv.place,
                         "kind": lv.kind,
-                        "valuation": _frac(lv.valuation),
+                        "valuation": exact_str(lv.valuation),
                         "gauss_index": lv.gauss_index,
                     }
                     for lv in first.locals
                 ],
-                "totals": {o: _frac(t) for o, t in totals.items()},
+                "totals": {o: exact_str(t) for o, t in totals.items()},
             }
         )
     _emit(
@@ -337,7 +333,7 @@ def _cmd_euler(args) -> int:
     for theta in modular_basis(cover.group, cover.p):
         c = psi.coefficient(theta)
         if c:
-            lines.append("  %-14s %s" % (char_label(theta), _frac(c)))
+            lines.append("  %-14s %s" % (char_label(theta), exact_str(c)))
     status = 0
     rows = []
     total = 0
@@ -354,9 +350,10 @@ def _cmd_euler(args) -> int:
     for chi, closed, direct, paired, ok in rows:
         lines.append(
             "  %-14s %s | %s | %s [%s]"
-            % (char_label(chi), _frac(closed), _frac(direct), _frac(paired), "ok" if ok else "FAIL")
+            % (char_label(chi), exact_str(closed), exact_str(direct), exact_str(paired),
+               "ok" if ok else "FAIL")
         )
-    lines.append("total over all characters: %s" % _frac(total))
+    lines.append("total over all characters: %s" % exact_str(total))
     _emit(
         args,
         lines,
@@ -364,20 +361,20 @@ def _cmd_euler(args) -> int:
             "cover": cover.summary(),
             "divisor": divisor.values,
             "structure": {
-                char_label(t): _frac(psi.coefficient(t))
+                char_label(t): exact_str(psi.coefficient(t))
                 for t in modular_basis(cover.group, cover.p)
             },
             "rows": [
                 {
                     "char": char_label(chi),
-                    "closed": _frac(closed),
-                    "direct": _frac(direct),
-                    "pairing": _frac(paired),
+                    "closed": exact_str(closed),
+                    "direct": exact_str(direct),
+                    "pairing": exact_str(paired),
                     "passed": ok,
                 }
                 for chi, closed, direct, paired, ok in rows
             ],
-            "total": _frac(total),
+            "total": exact_str(total),
         },
     )
     return status

@@ -9,7 +9,7 @@ assembled with synthetic_cover.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -44,7 +44,7 @@ from .groups import (
     joint,
     sylow_p_subgroup,
 )
-from .numutil import factorize, is_prime, multiplicative_order, p_part
+from .numutil import exact_ratio, factorize, is_prime, multiplicative_order, p_part
 from .stickelberger import TameLocalDatum
 
 INFINITY = "inf"
@@ -197,7 +197,7 @@ class PlaceDatum:
     inertia: Subgroup
     decomposition: Subgroup
     tame_char: Character
-    conductor_overrides: dict = field(default=None)
+    conductor_overrides: dict = None
 
     @property
     def e(self) -> int:
@@ -317,8 +317,12 @@ class CoverDatum:
     r is the degree over F_p of the field of constants of the base
     curve; g_base the genus of the base curve over that field.  kind
     records how the datum was built ('kummer', 'artin-schreier' or
-    'synthetic').  g_cover is the genus of the covering curve and is
-    only computed for constructed covers (r = 1, weakly ramified).
+    'synthetic').  divisor is the divisor of f in the equation of a
+    constructed cover, y^n = f (n the group order) or y^p - y = f, and
+    None for synthetic and subcover data.  g_cover is the genus of the
+    covering curve when the datum determines it (r = 1): constructed
+    covers take it from their equation, subcover data from the parent
+    cover, and synthetic data from the different on request.
     """
 
     group: object
@@ -328,7 +332,7 @@ class CoverDatum:
     places: tuple
     weakly_ramified: bool
     kind: str
-    meta: dict = field(default_factory=dict)
+    divisor: RationalFunctionDivisor = None
     g_cover: int = None
 
     def characters(self):
@@ -337,15 +341,20 @@ class CoverDatum:
     def wild_places(self):
         return tuple(q for q in self.places if q.is_wild)
 
+    @property
+    def function_label(self) -> str:
+        """f as summary() names it: its factors in y^n = f, its poles in y^p - y = f."""
+        if self.kind == "kummer":
+            return self.divisor.function_label()
+        return "poles at " + ", ".join(self.divisor.place_label(pl) for pl, m in self.divisor.entries if m < 0)
+
     def summary(self) -> str:
         inv = getattr(self.group, "invariant_factors", None)
         if inv is None:
             gname = "order-%d subgroup" % self.group.order
         else:
             gname = "Z/" + " x Z/".join(str(m) for m in inv) if inv else "1"
-        tail = ""
-        if self.meta.get("function"):
-            tail = ", f=%s" % self.meta["function"]
+        tail = "" if self.divisor is None else ", f=%s" % self.function_label
         return "%s cover (%s, p=%d, r=%d, g_base=%d, %d ramified place(s)%s)" % (
             self.kind,
             gname,
@@ -361,8 +370,18 @@ class CoverDatum:
 
 
 def _ramification_total(n, places):
-    """The Riemann-Hurwitz sum of n deg(q) d_q / e_q over the places."""
-    return sum((Fraction(n * q.degree * q.different_exponent(), q.e) for q in places), Fraction(0))
+    """The Riemann-Hurwitz sum of n deg(q) d_q / e_q over the places; e_q divides n."""
+    return sum(n // q.e * q.degree * q.different_exponent() for q in places)
+
+
+def _genus(n, g_base, ramification):
+    """g from 2g - 2 = n (2 g_base - 2) + ramification, all integers."""
+    total = 2 * n * (g_base - 1) + ramification
+    if total % 2 != 0:
+        raise CoverValidationError("genus-integral", "2g-2 = %s is not an even integer" % total)
+    if total < -2:
+        raise CoverValidationError("genus-integral", "computed genus %s" % (total // 2 + 1))
+    return total // 2 + 1
 
 
 def riemann_hurwitz_genus(n, g_base, places):
@@ -371,21 +390,25 @@ def riemann_hurwitz_genus(n, g_base, places):
     2 g_X - 2 = n (2 g_base - 2) + sum_q n deg(q) d_q / e_q where the
     different exponent d_q is (e-1) + (e_w-1) at weakly ramified places.
     """
-    total = 2 * n * (g_base - 1) + _ramification_total(n, places)
-    if total % 2 != 0:
-        raise CoverValidationError("genus-integral", "2g-2 = %s is not an even integer" % total)
-    g = Fraction(total + 2, 2)
-    if g.denominator != 1 or g < 0:
-        raise CoverValidationError("genus-integral", "computed genus %s" % g)
-    return int(g)
+    return _genus(n, g_base, _ramification_total(n, places))
+
+
+def _check_type(value, kind, what) -> None:
+    """Refuse a value whose type is not exactly kind: a float or a bool is no int."""
+    if type(value) is not kind:
+        raise CoverValidationError("type", "%s must be of type %s, got %r" % (what, kind.__name__, value))
 
 
 def validate_cover(cover: CoverDatum) -> None:
     """Check the structural invariants of a cover datum.
 
-    Raises CoverValidationError naming the violated invariant.
+    Raises CoverValidationError naming the violated invariant.  A stored
+    g_cover must agree with the different of the places, so on a
+    constructed cover the equation is checked against its places.
     """
     group = cover.group
+    for name, kind in (("p", int), ("r", int), ("g_base", int), ("weakly_ramified", bool)):
+        _check_type(getattr(cover, name), kind, name)
     if not _is_prime_in_range(cover.p):
         raise CoverValidationError("prime", "p = %r is not prime" % (cover.p,))
     if cover.r < 1:
@@ -399,6 +422,7 @@ def validate_cover(cover: CoverDatum) -> None:
         where = "place %s" % q.label
         if q.p != cover.p:
             raise CoverValidationError("prime", "%s carries a different prime" % where)
+        _check_type(q.degree, int, "the degree of " + where)
         if q.degree < 1:
             raise CoverValidationError("degree", "%s has nonpositive degree" % where)
         _check_degree(q.degree, where)
@@ -431,6 +455,7 @@ def validate_cover(cover: CoverDatum) -> None:
                     raise CoverValidationError(
                         "conductor-domain", "%s conductor override keyed off-group" % where
                     )
+                _check_type(cd, int, "a conductor at " + where)
                 if q.ramification_kind(chi) != "wild":
                     raise CoverValidationError(
                         "conductor-overrides",
@@ -460,6 +485,24 @@ def validate_cover(cover: CoverDatum) -> None:
             )
 
 
+def _assemble(group, p, places, kind, r=1, g_base=0, weakly_ramified=True, divisor=None,
+              g_cover=None) -> CoverDatum:
+    """The validated datum: every constructor of a cover ends here."""
+    cover = CoverDatum(group=group, p=p, r=r, g_base=g_base, places=tuple(places),
+                       weakly_ramified=weakly_ramified, kind=kind, divisor=divisor, g_cover=g_cover)
+    validate_cover(cover)
+    return cover
+
+
+def _divisor_over(p, divisor) -> RationalFunctionDivisor:
+    """divisor as a RationalFunctionDivisor over F_p; one over another prime is refused."""
+    if not isinstance(divisor, RationalFunctionDivisor):
+        return RationalFunctionDivisor(p, divisor)
+    if divisor.p != p:
+        raise InvalidInputError("the divisor lives over F_%r, not over F_%r" % (divisor.p, p))
+    return divisor
+
+
 # ---------------------------------------------------------------------------
 # Kummer covers y^n = f
 
@@ -481,9 +524,7 @@ def kummer_cover(p: int, n: int, divisor) -> CoverDatum:
         raise ConstantExtensionError(
             "y^n = f with n = %d needs the n-th roots of unity in F_%d; n must divide p - 1" % (n, p)
         )
-    if not isinstance(divisor, RationalFunctionDivisor):
-        divisor = RationalFunctionDivisor(p, divisor)
-    divisor = divisor.completed()
+    divisor = _divisor_over(p, divisor).completed()
     for ell in factorize(n):
         if divisor.is_divisible_by(ell):
             raise ReducibleCoverError(
@@ -527,19 +568,9 @@ def kummer_cover(p: int, n: int, divisor) -> CoverDatum:
                 tame_char=xi,
             )
         )
-    cover = CoverDatum(
-        group=group,
-        p=p,
-        r=1,
-        g_base=0,
-        places=tuple(places),
-        weakly_ramified=True,
-        kind="kummer",
-        meta={"n": n, "function": divisor.function_label(), "divisor": divisor},
-    )
-    cover.g_cover = riemann_hurwitz_genus(n, 0, cover.places)
-    validate_cover(cover)
-    return cover
+    # the equation's genus: 2g - 2 = -2n + sum over v of deg(v) (n - gcd(n, m_v))
+    ramification = sum(divisor.place_degree(pl) * (n - gcd(n, m)) for pl, m in divisor.entries)
+    return _assemble(group, p, places, "kummer", divisor=divisor, g_cover=_genus(n, 0, ramification))
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +589,7 @@ def artin_schreier_cover(p: int, divisor) -> CoverDatum:
     """
     if not _is_prime_in_range(p):
         raise InvalidInputError("p must be prime")
-    if not isinstance(divisor, RationalFunctionDivisor):
-        divisor = RationalFunctionDivisor(p, divisor)
+    divisor = _divisor_over(p, divisor)
     poles = [(pl, m) for pl, m in divisor.entries if m < 0]
     if not poles:
         raise ReducibleCoverError("y^p - y = f needs at least one pole of f")
@@ -573,7 +603,7 @@ def artin_schreier_cover(p: int, divisor) -> CoverDatum:
     group = AbelianGroup((p,))
     full = group.full_subgroup()
     xi = full.trivial_character()  # tame quotient is trivial
-    places = tuple(
+    places = [
         PlaceDatum(
             label=divisor.place_label(pl),
             p=p,
@@ -583,20 +613,11 @@ def artin_schreier_cover(p: int, divisor) -> CoverDatum:
             tame_char=xi,
         )
         for pl, _ in poles
-    )
-    cover = CoverDatum(
-        group=group,
-        p=p,
-        r=1,
-        g_base=0,
-        places=places,
-        weakly_ramified=True,
-        kind="artin-schreier",
-        meta={"function": "poles at " + ", ".join(q.label for q in places), "divisor": divisor},
-    )
-    cover.g_cover = riemann_hurwitz_genus(p, 0, cover.places)
-    validate_cover(cover)
-    return cover
+    ]
+    # the equation's genus: 2g - 2 = -2p + sum over the poles v of 2 deg(v) (p - 1)
+    ramification = sum(2 * divisor.place_degree(pl) * (p - 1) for pl, _ in poles)
+    return _assemble(group, p, places, "artin-schreier", divisor=divisor,
+                     g_cover=_genus(p, 0, ramification))
 
 
 # ---------------------------------------------------------------------------
@@ -620,21 +641,12 @@ def synthetic_cover(group, p, r, g_base, places, weakly_ramified=True, compute_g
         spec.setdefault("label", "q%d" % i)
         spec.setdefault("p", p)
         built.append(PlaceDatum(**spec))
-    cover = CoverDatum(
-        group=group,
-        p=p,
-        r=r,
-        g_base=g_base,
-        places=tuple(built),
-        weakly_ramified=weakly_ramified,
-        kind="synthetic",
-    )
+    g_cover = None
     if compute_genus:
         if r != 1:
             raise UnsupportedCoverError("genus computation needs r = 1")
-        cover.g_cover = riemann_hurwitz_genus(group.order, g_base, cover.places)
-    validate_cover(cover)
-    return cover
+        g_cover = riemann_hurwitz_genus(group.order, g_base, built)
+    return _assemble(group, p, built, "synthetic", r, g_base, weakly_ramified, g_cover=g_cover)
 
 
 def random_weakly_ramified_cover(rng):
@@ -772,24 +784,12 @@ def subcover_data(cover: CoverDatum, sub) -> CoverDatum:
                     tame_char=xi,
                 )
             )
-    # 2 g_X - 2 = |H| (2 g' - 2) + ramification of X -> X/H
-    doubled = 2 * cover.g_cover - 2 - _ramification_total(h.order, new_places)
-    g_quot = (doubled / h.order + 2) / 2
-    if g_quot.denominator != 1 or g_quot < 0:
-        raise CoverValidationError("genus-integral", "quotient genus %s" % g_quot)
-    quotient = CoverDatum(
-        group=h,
-        p=cover.p,
-        r=1,
-        g_base=int(g_quot),
-        places=tuple(new_places),
-        weakly_ramified=cover.weakly_ramified,
-        kind=cover.kind,
-        meta={"parent": cover.summary(), "subgroup_order": h.order},
-        g_cover=cover.g_cover,
-    )
-    validate_cover(quotient)
-    return quotient
+    # 2 g_X - 2 = |H| (2 g' - 2) + ramification of X -> X/H, so g' = num / (2 |H|)
+    num = 2 * cover.g_cover - 2 - _ramification_total(h.order, new_places) + 2 * h.order
+    if num % (2 * h.order) != 0 or num < 0:
+        raise CoverValidationError("genus-integral", "quotient genus %s" % exact_ratio(num, 2 * h.order))
+    return _assemble(h, cover.p, new_places, cover.kind, g_base=num // (2 * h.order),
+                     weakly_ramified=cover.weakly_ramified, g_cover=cover.g_cover)
 
 
 # ---------------------------------------------------------------------------
@@ -812,16 +812,12 @@ def _divisor_from_obj(p, obj):
     return RationalFunctionDivisor(p, entries)
 
 
-def _fraction_pair(x: Fraction):
-    return [x.numerator, x.denominator]
-
-
 def _subgroup_to_obj(sub: Subgroup):
     return [list(g) for g in sub.generators]
 
 
 def _character_to_obj(chi: Character):
-    return [[list(g), _fraction_pair(chi.value(g))] for g in chi.domain.generators]
+    return [[list(g), list(chi.value(g).as_integer_ratio())] for g in chi.domain.generators]
 
 
 def _character_from_obj(sub: Subgroup, obj) -> Character:
@@ -839,10 +835,10 @@ def cover_to_json(cover: CoverDatum) -> str:
     covers field by field.  Subcover data (group a proper subgroup) is
     not serializable.
     """
-    if cover.kind in ("kummer", "artin-schreier") and "divisor" in cover.meta:
-        obj = {"kind": cover.kind, "p": cover.p, "divisor": _divisor_to_obj(cover.meta["divisor"])}
+    if cover.divisor is not None:
+        obj = {"kind": cover.kind, "p": cover.p, "divisor": _divisor_to_obj(cover.divisor)}
         if cover.kind == "kummer":
-            obj["n"] = cover.meta["n"]
+            obj["n"] = cover.group.order
         return json.dumps(obj, sort_keys=True, separators=(",", ":"))
     if not isinstance(cover.group, AbelianGroup):
         raise UnsupportedCoverError("only covers of the full group are serializable")

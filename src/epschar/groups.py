@@ -41,7 +41,7 @@ from .errors import (
     InvalidInputError,
     LevelError,
 )
-from .numutil import p_part
+from .numutil import exact_ratio, p_part
 
 LEVEL_CHAR0 = "char0"
 LEVEL_MODULES = "modules"
@@ -332,11 +332,6 @@ class Character:
         return Fraction(self.numerator(g), self.domain.root.exponent)
 
     @property
-    def values(self):
-        """Value table aligned with the domain's sorted elements."""
-        return tuple(self.value(g) for g in self.domain.elements())
-
-    @property
     def sort_key(self):
         """Orders characters like their value tables, without Fractions."""
         return self.numerators(self.domain)
@@ -415,14 +410,6 @@ def char_label(chi: Character) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _exact(x):
-    """x as an int when it is integral, else as a Fraction."""
-    if type(x) is int:
-        return x
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
 class K0Element:
     """Virtual module over a group at one of the three levels."""
 
@@ -439,7 +426,7 @@ class K0Element:
         clean = {}
         for chi, coef in (coeffs or {}).items():
             if type(coef) is not int:
-                coef = _exact(coef)
+                coef = exact_ratio(coef.numerator, coef.denominator)
             if not coef:
                 continue
             if chi.domain is not group and chi.domain != group:
@@ -487,7 +474,7 @@ class K0Element:
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = _exact(c)
+        c = exact_ratio(c.numerator, c.denominator)
         return K0Element(self.group, self.level,
                          {chi: c * v for chi, v in self.coeffs.items()}, self.p)
 
@@ -604,7 +591,7 @@ def pairing(x: K0Element, y: K0Element) -> int | Fraction:
     total = 0
     for chi, c in x.coeffs.items():
         total += c * y.coefficient(chi)
-    return _exact(total)
+    return exact_ratio(total.numerator, total.denominator)
 
 
 def restrict(x: K0Element, sub) -> K0Element:

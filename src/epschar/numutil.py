@@ -9,6 +9,14 @@ def exact_ratio(num: int, den: int) -> int | Fraction:
     return num // den if num % den == 0 else Fraction(num, den)
 
 
+def exact_str(x) -> str | None:
+    """x as str(Fraction(x)), the integer or a/b form every output prints;
+    an int or a Fraction already prints so.  None stays None."""
+    if x is None:
+        return None
+    return str(x) if type(x) is int or type(x) is Fraction else str(Fraction(x))
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -51,10 +59,6 @@ def p_part(n: int, p: int) -> int:
         out *= p
         n //= p
     return out
-
-
-def prime_to_p_part(n: int, p: int) -> int:
-    return n // p_part(n, p)
 
 
 def multiplicative_order(a: int, m: int) -> int:

@@ -23,7 +23,6 @@ The four checks:
 """
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import gcd
 
 from .errors import IncompleteDatumError, NotWeaklyRamifiedError
@@ -37,6 +36,7 @@ from .groups import (
 )
 from .covers import CoverDatum, PlaceDatum, subcover_data
 from .epsilon import ORACLE_PADIC, ORACLE_STICKELBERGER, E_element, epsilon_ledgers
+from .numutil import exact_str
 from .euler import (
     DivisorSpec,
     euler_char_structure_sheaf,
@@ -87,7 +87,7 @@ class VerificationReport:
                 detail = " (" + ", ".join("%s=%s" % (k, v) for k, v in row.parts) + ")"
             lines.append(
                 "  %-18s lhs=%s rhs=%s%s [%s]"
-                % (row.label, _fmt(row.lhs), _fmt(row.rhs), detail, verdict)
+                % (row.label, exact_str(row.lhs), exact_str(row.rhs), detail, verdict)
             )
         return "\n".join(lines)
 
@@ -101,9 +101,9 @@ class VerificationReport:
             "rows": [
                 {
                     "label": r.label,
-                    "lhs": _fmt(r.lhs),
-                    "rhs": _fmt(r.rhs),
-                    "parts": {k: _fmt(v) for k, v in r.parts},
+                    "lhs": exact_str(r.lhs),
+                    "rhs": exact_str(r.rhs),
+                    "parts": {k: exact_str(v) for k, v in r.parts},
                     "passed": r.passed,
                 }
                 for r in self.rows
@@ -113,13 +113,6 @@ class VerificationReport:
 
 # every epsilon valuation is normalised with geometric Frobenius (see epsilon)
 _NORMALISATION_NOTE = "convention=standard"
-
-
-def _fmt(x):
-    """x as str(Fraction(x)); an int or a Fraction already prints so."""
-    if x is None:
-        return None
-    return str(x) if type(x) is Fraction or type(x) is int else str(Fraction(x))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +291,7 @@ def _regenerated_place(group, q: PlaceDatum) -> PlaceDatum:
 
 
 def _with_places(cover: CoverDatum, places) -> CoverDatum:
-    return replace(cover, places=tuple(places), meta=dict(cover.meta))
+    return replace(cover, places=tuple(places))
 
 
 def _invariance_variants(cover: CoverDatum):

@@ -263,14 +263,14 @@ AS_TOTALS = {
 def test_criterion_06_riemann_roch_totals():
     kummer_seen = set()
     for cov in kummer_corpus():
-        key = (cov.p, cov.meta["n"], cov.meta["function"])
+        key = (cov.p, cov.group.order, cov.function_label)
         divisor = DivisorSpec.zero(cov)
         total = sum(multiplicity_closed(cov, divisor, chi) for chi in cov.characters())
         assert total == KUMMER_TOTALS[key], key
         kummer_seen.add(key)
     as_seen = set()
     for cov in artin_schreier_corpus():
-        key = (cov.p, cov.meta["function"])
+        key = (cov.p, cov.function_label)
         divisor = DivisorSpec.wild_canonical(cov)
         total = sum(multiplicity_closed(cov, divisor, chi) for chi in cov.characters())
         assert total == AS_TOTALS[key], key
@@ -289,10 +289,10 @@ def test_criterion_07_strong_formula_corpus():
     start = time.time()
     kummer = kummer_corpus()
     artin = artin_schreier_corpus()
-    assert all(c.p <= 13 and c.meta["n"] <= 6 for c in kummer)
-    assert len({c.meta["function"] for c in kummer}) >= 10
+    assert all(c.p <= 13 and c.group.order <= 6 for c in kummer)
+    assert len({c.function_label for c in kummer}) >= 10
     assert all(c.p in (2, 3, 5) for c in artin)
-    assert len({c.meta["function"] for c in artin}) >= 10
+    assert len({c.function_label for c in artin}) >= 10
     for cov in kummer + artin:
         report = check_strong(cov)
         assert report.flags["strong_ok"] is True, cov.summary()

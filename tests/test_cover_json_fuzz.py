@@ -6,6 +6,8 @@ mutations: a dropped key, a value of the wrong type, a huge or negative
 integer, or an inertia group given by elements that do not generate a
 subgroup of the decomposition group (or of the root group at all).
 main must answer every body with an exit status 0-3 and no traceback.
+A fixed list of bodies with a float or a bool where the schema stores
+an integer, or a string where it stores a bool, must exit 2.
 """
 
 import contextlib
@@ -120,3 +122,43 @@ def test_main_answers_mutated_cover_json_with_an_exit_status(command, body):
         os.unlink(path)
     assert status in (0, 1, 2, 3), (status, body)
     assert "Traceback" not in err, body
+
+
+def _with(base, edit):
+    obj = json.loads(json.dumps(base))
+    edit(obj)
+    return obj
+
+
+def _set_first_conductor(value):
+    def edit(obj):
+        place = next(q for q in obj["places"] if "conductors" in q)
+        place["conductors"][0][1] = value
+    return edit
+
+
+# a float or a bool where an int is stored, or a non-bool weakly_ramified
+NON_INTEGER_BODIES = [
+    _with(BASES[0], lambda obj: obj.update(r=1.0)),
+    _with(BASES[0], lambda obj: obj.update(g_base=0.0)),
+    _with(BASES[0], lambda obj: obj.update(p=3.0)),
+    _with(BASES[0], lambda obj: obj["places"][0].update(degree=1.0)),
+    _with(BASES[0], lambda obj: obj.update(r=True)),
+    _with(BASES[0], lambda obj: obj.update(weakly_ramified="no")),
+    _with(BASES[1], _set_first_conductor(3.0)),
+    _with(BASES[1], _set_first_conductor(True)),
+]
+
+
+def test_non_integer_numbers_in_cover_json_exit_2():
+    fd, path = tempfile.mkstemp(suffix=".json")
+    os.close(fd)
+    try:
+        for body in NON_INTEGER_BODIES:
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(body, handle)
+            for command in (["epsilon"], ["verify-weak"], ["verify-all"]):
+                status, err = _run(command + ["--input", path])
+                assert status == 2 and err.startswith("input error"), (command, body, err)
+    finally:
+        os.unlink(path)

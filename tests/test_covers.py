@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from epschar import covers
 from epschar.corpus import constructed_corpus, synthetic_corpus
 from epschar.covers import (
     INFINITY,
@@ -241,6 +243,45 @@ def test_riemann_hurwitz_parity_guard():
     assert riemann_hurwitz_genus(2, 0, [q, q]) == 0
 
 
+def test_constructed_genus_comes_from_the_equation(monkeypatch):
+    # a constructor that misreads every place as degree 1 must not build:
+    # its places no longer give the genus of the equation
+    def degree_one(**kw):
+        return PlaceDatum(**dict(kw, degree=1))
+
+    monkeypatch.setattr(covers, "PlaceDatum", degree_one)
+    with pytest.raises(CoverValidationError, match="genus-integral"):
+        artin_schreier_cover(2, [((1, 1, 1), -1)])  # g = 1
+    with pytest.raises(CoverValidationError, match="genus-integral"):
+        kummer_cover(5, 2, [((0, 1), 1), ((2, 0, 1), 1)])  # g = 1
+    monkeypatch.undo()
+    assert artin_schreier_cover(2, [((1, 1, 1), -1)]).g_cover == 1
+    assert kummer_cover(5, 2, [((0, 1), 1), ((2, 0, 1), 1)]).g_cover == 1
+
+
+def test_divisor_over_another_prime_is_refused():
+    over_7 = RationalFunctionDivisor(7, [((0, 1), 1), ((6, 1), 1)])
+    with pytest.raises(InvalidInputError, match="F_7"):
+        kummer_cover(5, 2, over_7)
+    with pytest.raises(InvalidInputError, match="F_7"):
+        artin_schreier_cover(5, RationalFunctionDivisor(7, [((0, 1), -1)]))
+    over_5 = RationalFunctionDivisor(5, [((0, 1), 1), ((1, 1), 1)])
+    assert kummer_cover(5, 2, over_5).divisor == over_5.completed()
+
+
+def test_non_integer_fields_are_refused():
+    cov = kummer_cover(5, 4, [((0, 1), 1)])
+    q = cov.places[0]
+    for field_name, value in (("p", 5.0), ("r", 1.0), ("r", True), ("g_base", 0.0)):
+        with pytest.raises(CoverValidationError, match="^type: .* int"):
+            validate_cover(dataclasses.replace(cov, **{field_name: value}))
+    with pytest.raises(CoverValidationError, match="^type: .* bool"):
+        validate_cover(dataclasses.replace(cov, weakly_ramified="no"))
+    place = dataclasses.replace(q, degree=1.0)
+    with pytest.raises(CoverValidationError, match="^type: .* int"):
+        validate_cover(dataclasses.replace(cov, places=(place,) + cov.places[1:]))
+
+
 def test_validate_cover_catches_corruption():
     cov = kummer_cover(5, 4, [((0, 1), 1)])
     q = cov.places[0]
@@ -339,6 +380,14 @@ def test_subcover_full_and_trivial():
     assert triv.places == () and triv.g_base == cov.g_cover
 
 
+def test_subcover_reports_a_fractional_quotient_genus():
+    cov = kummer_cover(5, 2, [((0, 1), 1), ((4, 1), 1)])
+    assert cov.g_cover == 0
+    cov.g_cover = 1  # not the genus the different gives
+    with pytest.raises(CoverValidationError, match="quotient genus 1/2"):
+        subcover_data(cov, cov.group.full_subgroup())
+
+
 def test_subcover_requires_genus():
     group = AbelianGroup((2,))
     full = group.full_subgroup()
@@ -380,7 +429,7 @@ def test_json_round_trip():
         for a, b in zip(sorted(cov.places, key=lambda q: q.label),
                         sorted(back.places, key=lambda q: q.label)):
             assert (a.label, a.degree, a.e, a.f) == (b.label, b.degree, b.e, b.f)
-            assert a.tame_char.values == b.tame_char.values
+            assert a.tame_char.numerators(a.inertia) == b.tame_char.numerators(b.inertia)
             assert a.conductor_overrides == b.conductor_overrides
 
 

@@ -67,7 +67,7 @@ def test_decomposition_orders_match_the_unit_order_rule():
             cover = kummer_cover(p, n, list(entries.items()))
         except ReducibleCoverError:
             continue
-        divisor = cover.meta["divisor"]  # with the place at infinity
+        divisor = cover.divisor  # with the place at infinity
         got = {q.label: q.decomposition.order for q in cover.places}
         assert got == reference_decomposition_orders(p, n, divisor), (p, n, divisor)
         places += len(got)

@@ -1,12 +1,14 @@
 """Every function, class and method in src/epschar has a reader.
 
 A definition counts as read when code in src/, demos/ or perfbench/
-names it: as a variable, an attribute or an imported name, or as a part
-of a dotted target that perfbench/tracer.py resolves from a string.  A
-method or property is read only through an attribute access or a tracer
-target, so a local variable of the same name does not count for it.
-Words in comments and docstrings do not count.  Dunder methods are
-called by the language and are not checked.
+names it, or when perfbench/tracer.py resolves it from a string.  A
+module-level def is read through a bare name, an imported name, or an
+attribute of an epschar module (covers.kummer_cover); a method or
+property only through an attribute access.  So a local variable does
+not count for a method, and a method or attribute does not count for a
+module-level def of the same name.  Words in comments and docstrings do
+not count.  Dunder methods are called by the language and are not
+checked.
 """
 
 import ast
@@ -17,6 +19,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "epschar"
 SEARCHED = ("src", "demos", "perfbench")
 TRACER = ROOT / "perfbench" / "tracer.py"
+MODULES = {path.stem for path in PACKAGE.glob("*.py")} | {"epschar"}
 
 # tests use these as references (ROADMAP item 11); no program code needs them
 ALLOWED = {
@@ -48,28 +51,38 @@ def _definitions():
 
 
 def _tracer_names():
-    """Each part of the dotted TARGETS and each CACHES attribute of the tracer."""
+    """The module-level names and the member names the tracer resolves: a
+    TARGETS entry is module.name[.member], a CACHES entry names a module
+    attribute."""
     tables = {
         node.targets[0].id: ast.literal_eval(node.value)
         for node in ast.parse(TRACER.read_text(encoding="utf-8")).body
         if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("TARGETS", "CACHES")
     }
-    names = [part for _, target, _ in tables["TARGETS"] for part in target.split(".")]
-    return names + [attr for _, _, attr in tables["CACHES"]]
+    parts = [target.split(".") for _, target, _ in tables["TARGETS"]]
+    top = [name for _, name, *_ in parts] + [attr for _, _, attr in tables["CACHES"]]
+    return top, [member for _, _, *rest in parts for member in rest]
+
+
+def _is_module(node):
+    """Whether an expression names an epschar module: covers, epschar.covers."""
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name in MODULES
 
 
 def _name_counts():
-    """Reads of each name anywhere, and reads through an attribute or a tracer target."""
-    counts = collections.Counter(_tracer_names())
-    members = collections.Counter(counts)
+    """Reads of each name as a module-level def, and as a method or property."""
+    names, member_names = _tracer_names()
+    counts, members = collections.Counter(names), collections.Counter(member_names)
     for top in SEARCHED:
         for path in (ROOT / top).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Name):
                     counts[node.id] += 1
                 elif isinstance(node, ast.Attribute):
-                    counts[node.attr] += 1
                     members[node.attr] += 1
+                    if _is_module(node.value):
+                        counts[node.attr] += 1
                 elif isinstance(node, ast.alias):
                     counts.update(node.name.split("."))
     return counts, members

@@ -10,7 +10,6 @@ from epschar.numutil import (
     p_part,
     padic_valuation_int,
     prime_divisors,
-    prime_to_p_part,
 )
 
 
@@ -51,8 +50,9 @@ def test_p_part_split():
     for _ in range(200):
         n = rng.randrange(1, 10**6)
         p = rng.choice([2, 3, 5, 7, 11])
-        a, b = p_part(n, p), prime_to_p_part(n, p)
-        assert a * b == n
+        a = p_part(n, p)
+        b, rest = divmod(n, a)
+        assert rest == 0
         assert b % p != 0
         # a is a power of p
         while a % p == 0:

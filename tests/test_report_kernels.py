@@ -3,8 +3,8 @@
 K0Element keeps an int coefficient as it is, turns an integral Fraction
 into its numerator and checks a label's group by identity before
 equality; decomposition_map reads each character's prime-to-p part
-from a table memoised on the group object; _fmt prints ints and
-Fractions without wrapping them again.  Each is compared with an
+from a table memoised on the group object; numutil.exact_str prints
+ints and Fractions without wrapping them again.  Each is compared with an
 in-test copy of the plain form it replaced: the constructor that
 converted every coefficient, the per-character prime_to_p_part rule and
 str(Fraction(x)).
@@ -29,7 +29,8 @@ from epschar.groups import (
     decomposition_map,
     restrict,
 )
-from epschar.verify import _cyclic_subgroups, _fmt
+from epschar.numutil import exact_str
+from epschar.verify import _cyclic_subgroups
 
 
 @lru_cache(maxsize=None)
@@ -193,7 +194,7 @@ def test_decomposition_map_memo_lives_on_the_group_object():
     assert group.full_subgroup()._reductions == {}
 
 
-# -- _fmt ---------------------------------------------------------------------
+# -- exact_str ----------------------------------------------------------------
 
 
 def test_fmt_prints_as_str_of_fraction():
@@ -201,6 +202,6 @@ def test_fmt_prints_as_str_of_fraction():
               Fraction(0), Fraction(3, 4), Fraction(-5, 2), Fraction(6, 3), Fraction(-10**20, 3),
               0.5, "3/4"]
     for x in values:
-        assert _fmt(x) == str(Fraction(x)), x
-    assert _fmt(True) == "1" and _fmt(False) == "0"
-    assert _fmt(None) is None
+        assert exact_str(x) == str(Fraction(x)), x
+    assert exact_str(True) == "1" and exact_str(False) == "0"
+    assert exact_str(None) is None

@@ -7,7 +7,7 @@ import pytest
 
 from epschar import verify
 from epschar.corpus import constructed_corpus, restriction_chain_covers
-from epschar.covers import artin_schreier_cover, kummer_cover, synthetic_cover
+from epschar.covers import RationalFunctionDivisor, artin_schreier_cover, kummer_cover, synthetic_cover
 from epschar.errors import IntegralityError, NotWeaklyRamifiedError
 from epschar.groups import AbelianGroup, char_label, cyclic_character
 from epschar.verify import (
@@ -334,7 +334,7 @@ def test_cyclic_subgroups_of_a_large_cyclic_group_are_fast():
 
 def test_invariance_variants_keep_every_field_they_do_not_change():
     # a tame place with Frobenius twists, and a wild place carrying
-    # conductor overrides; the cover carries meta and g_cover
+    # conductor overrides; the cover carries a divisor and g_cover
     group = AbelianGroup((14,))
     tame = group.subgroup([(2,)])
     wild = group.subgroup([(7,)])
@@ -346,16 +346,15 @@ def test_invariance_variants_keep_every_field_they_do_not_change():
              tame_char=wild.trivial_character(), conductor_overrides=odd),
     ]
     cov = synthetic_cover(group, 2, 1, 0, places)
-    cov.meta["function"] = "sample"
+    cov.divisor = RationalFunctionDivisor(2, [((0, 1), 1)])
     cov.g_cover = 5
     variants = verify._invariance_variants(cov)
     assert [label for label, _ in variants] == [
         "twist q p^1", "twist q p^2", "point re-choice", "regenerated subgroups"]
-    kept = ("group", "p", "r", "g_base", "weakly_ramified", "kind", "meta", "g_cover")
+    kept = ("group", "p", "r", "g_base", "weakly_ramified", "kind", "divisor", "g_cover")
     for label, variant in variants:
         for name in kept:
             assert getattr(variant, name) == getattr(cov, name), (label, name)
-        assert variant.meta is not cov.meta, label
         for before, after in zip(cov.places, variant.places, strict=True):
             assert (after.label, after.p, after.degree) == (before.label, before.p, before.degree)
             assert after.conductor_overrides is before.conductor_overrides, label
