@@ -92,18 +92,18 @@ class RationalFunctionDivisor:
     """
 
     def __init__(self, p, entries):
-        if not _is_prime_in_range(p):
+        if type(p) is not int or not _is_prime_in_range(p):
             raise InvalidInputError("p must be prime, got %r" % (p,))
         self.p = p
         seen = set()
         cleaned = []
         for place, mult in entries:
-            if mult == 0 or mult != int(mult):
-                raise InvalidInputError("multiplicity must be a nonzero integer")
+            if type(mult) is not int or mult == 0:  # a float or a bool is refused
+                raise InvalidInputError("multiplicity must be a nonzero integer, got %r" % (mult,))
             if place == INFINITY:
                 key = INFINITY
             else:
-                poly = tuple(c % p for c in place)
+                poly = tuple(c % p for c in _ints(place, "a place polynomial"))
                 if poly_trim(list(poly)) != list(poly):
                     raise InvalidInputError("polynomial has trailing zeros: %r" % (place,))
                 if len(poly) < 2 or poly[-1] != 1:
@@ -117,7 +117,7 @@ class RationalFunctionDivisor:
             if key in seen:
                 raise InvalidInputError("duplicate place in divisor")
             seen.add(key)
-            cleaned.append((key, int(mult)))
+            cleaned.append((key, mult))
         cleaned.sort(key=lambda e: (1, 0, ()) if e[0] == INFINITY else (0, len(e[0]), e[0]))
         self.entries = tuple(cleaned)
 
@@ -228,9 +228,9 @@ class PlaceDatum:
         """
         n = self.inertia.root.exponent
         one = n // self.e_t % n  # the numerator of 1/e_t
-        values = self.tame_char.numerators(self.inertia)
-        return next((t for t, x in zip(self.inertia.elements(), values)
-                     if x == one and self.inertia.element_order(t) == self.e_t), None)
+        xi = self.tame_char
+        return next((t for t in self.inertia.elements()
+                     if xi.numerator(t) == one and self.inertia.element_order(t) == self.e_t), None)
 
     @property
     def is_wild(self) -> bool:
@@ -238,15 +238,15 @@ class PlaceDatum:
 
     @cached_property
     def tame_powers(self) -> dict:
-        """Each k < e_t under the value table of tame_char^k on inertia.elements().
+        """Each k < e_t under the key of tame_char^k on inertia (Subgroup._key).
 
-        A value table holds the integer numerators N chi(t), N the root
-        exponent.  Where tame_char is not faithful on the tame part,
-        powers share a table and the smallest k keeps it.
+        A key holds the integer numerators N chi(b), N the root exponent,
+        on the basis elements b of inertia.  Where tame_char is not
+        faithful on the tame part, powers share a key and the smallest k
+        keeps it.
         """
-        n = self.inertia.root.exponent
-        xi = self.tame_char.numerators(self.inertia)
-        return {tuple([k * x % n for x in xi]): k for k in reversed(range(self.e_t))}
+        key, xi = self.inertia._key, self.tame_char.vector
+        return {key(tuple([k * a for a in xi])): k for k in reversed(range(self.e_t))}
 
     @cached_property
     def tame_local_datum(self) -> TameLocalDatum:
@@ -426,6 +426,8 @@ def validate_cover(cover: CoverDatum) -> None:
         if q.degree < 1:
             raise CoverValidationError("degree", "%s has nonpositive degree" % where)
         _check_degree(q.degree, where)
+        for x in (x for sub in (q.inertia, q.decomposition) for g in sub.generators for x in g):
+            _check_type(x, int, "a generator coordinate at " + where)
         if q.inertia.root != group.root or q.decomposition.root != group.root:
             raise CoverValidationError("subgroup-root", "%s subgroups live in another group" % where)
         if not q.inertia.is_subset_of(group) or not q.decomposition.is_subset_of(group):
@@ -820,8 +822,17 @@ def _character_to_obj(chi: Character):
     return [[list(g), list(chi.value(g).as_integer_ratio())] for g in chi.domain.generators]
 
 
+def _ints(values, what) -> tuple:
+    """values as a tuple of ints; a float or a bool is refused, as validate_cover does."""
+    values = tuple(values)
+    if any(type(x) is not int for x in values):
+        raise InvalidInputError("%s must hold only integers, got %r" % (what, list(values)))
+    return values
+
+
 def _character_from_obj(sub: Subgroup, obj) -> Character:
-    targets = [(tuple(g), Fraction(num, den)) for g, (num, den) in obj]
+    targets = [(_ints(g, "an element"), Fraction(*_ints(value, "a character value")))
+               for g, value in obj]
     for chi in sub.characters():
         if all(chi.value(g) == v for g, v in targets):
             return chi
@@ -893,7 +904,8 @@ def cover_from_json(text: str) -> CoverDatum:
                 overrides = None
                 if "conductors" in entry:
                     overrides = {
-                        group.character(tuple(exps)): cd for exps, cd in entry["conductors"]
+                        group.character(_ints(exps, "a character's exponents")): cd
+                        for exps, cd in entry["conductors"]
                     }
                 places.append(
                     PlaceDatum(

@@ -17,6 +17,7 @@ from math import lcm
 
 from .covers import CoverDatum, PlaceDatum
 from .errors import (
+    DomainError,
     IntegralityError,
     InvalidInputError,
     NotWeaklyRamifiedError,
@@ -214,13 +215,16 @@ def _direct_numerator(p: int, q: PlaceDatum, l: int, chi: Character) -> int:
     The index of chi against the cotangent character is solved
     independently at every residue-field embedding (the f_q extensions
     of an embedding give the same composition, so the deg(q) f_q points
-    collapse onto deg(q) classes weighted 1/e): chi's values on all of
-    inertia are looked up among the value tables of the cotangent
-    character's powers, and each embedding divides out its Frobenius.
+    collapse onto deg(q) classes weighted 1/e): chi's key on inertia is
+    looked up among the keys of the cotangent character's powers, and
+    each embedding divides out its Frobenius.
     """
     e = q.e_t
-    # chi = xi^k on all of inertia, read from chi's integer numerators
-    k = q.tame_powers.get(chi.numerators(q.inertia))
+    # a root contains all its subgroups: test that before the O(|I|) check
+    if chi.domain is not q.inertia.root and not q.inertia.is_subset_of(chi.domain):
+        raise DomainError("the inertia group at %s is not in the domain of the character" % q.label)
+    # chi = xi^k on all of inertia, read from chi's values on the inertia basis
+    k = q.tame_powers.get(q.inertia._key(chi.vector))
     if k is None:
         raise InvalidInputError("character does not match the cotangent data at %s" % q.label)
     # at embedding j the cotangent character is xi^(p^j), so d_j = k p^(-j)

@@ -30,9 +30,9 @@ it is integral, and a Fraction only otherwise.
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product, repeat
+from itertools import product
 from math import gcd, lcm, prod
-from operator import add, index, mod, mul
+from operator import index, mod, mul
 
 from .errors import (
     CapacityError,
@@ -164,12 +164,6 @@ class Subgroup:
         """For each basis element g, the weights w_i g_i: N chi(g) is vector . row."""
         return tuple(tuple(map(mul, self.root._weights, g)) for g in self.basis)
 
-    @cached_property
-    def _columns(self):
-        """For each invariant factor i, the weighted coordinates w_i g_i of the elements."""
-        return tuple(tuple(w * g[i] for g in self._elements)
-                     for i, w in enumerate(self.root._weights))
-
     def _key(self, vector):
         """Values, times the root exponent, of a character vector on the basis.
 
@@ -226,10 +220,10 @@ class AbelianGroup(Subgroup):
     """Product of Z/n_i with n_1 | n_2 | ... (trivial group: empty tuple)."""
 
     def __init__(self, invariant_factors):
-        fs = tuple(int(n) for n in invariant_factors)
+        fs = tuple(invariant_factors)
         for n in fs:
-            if n < 2:
-                raise InvalidInputError("invariant factors must be >= 2")
+            if type(n) is not int or n < 2:  # a float or a bool is no invariant factor
+                raise InvalidInputError("invariant factors must be integers >= 2, got %r" % (n,))
         for a, b in zip(fs, fs[1:]):
             if b % a != 0:
                 raise InvalidInputError(f"invariant factors must form a divisibility chain, got {fs}")
@@ -309,32 +303,15 @@ class Character:
             raise DomainError(f"{g} is not in the domain of the character")
         return _numerator(self.domain.root, self.vector, g)
 
-    def numerators(self, sub) -> tuple:
-        """numerator(g) for each g of sub.elements(), with one domain check.
-
-        The values are the dot products of the vector with the weighted
-        coordinates of the elements, taken one invariant factor at a time.
-        """
-        if sub is not self.domain and not sub.is_subset_of(self.domain):
-            raise DomainError("the subgroup is not in the domain of the character")
-        acc = None
-        for a, column in zip(self.vector, sub._columns):
-            if a and acc is None:
-                acc = [a * x for x in column]
-            elif a:
-                acc = list(map(add, acc, map(mul, repeat(a), column)))
-        if acc is None:
-            return (0,) * sub.order
-        n = self.domain.root.exponent
-        return tuple([x % n for x in acc])
-
     def value(self, g) -> Fraction:
         return Fraction(self.numerator(g), self.domain.root.exponent)
 
     @property
     def sort_key(self):
-        """Orders characters like their value tables, without Fractions."""
-        return self.numerators(self.domain)
+        """Orders characters like their value tables on the sorted elements:
+        each element outside the greedy basis lies in the span of the basis
+        elements before it, so two tables first differ at a basis element."""
+        return self._key
 
     @property
     def order(self) -> int:

@@ -147,6 +147,18 @@ NON_INTEGER_BODIES = [
     _with(BASES[0], lambda obj: obj.update(weakly_ramified="no")),
     _with(BASES[1], _set_first_conductor(3.0)),
     _with(BASES[1], _set_first_conductor(True)),
+    # the divisor of a constructed cover, the group and the stored characters
+    {"kind": "kummer", "p": 5, "n": 2, "divisor": [[[0.0, 1], 1], [[4, 1], 1]]},
+    {"kind": "kummer", "p": 5, "n": 2, "divisor": [[[0, 1], 1.0], [[4, 1], 1]]},
+    {"kind": "kummer", "p": 5, "n": 2, "divisor": [[[0, 1], True], [[4, 1], 1]]},
+    {"kind": "kummer", "p": 5.0, "n": 2, "divisor": [[[0, 1], 1], [[4, 1], 1]]},
+    _with(BASES[3], lambda obj: obj["divisor"].__setitem__(1, [[True, 1], -1])),
+    _with(BASES[3], lambda obj: obj["divisor"].__setitem__(1, [[2, 1], -1.0])),
+    _with(BASES[0], lambda obj: obj.update(group=[6.0])),
+    _with(BASES[0], lambda obj: obj["places"][0].update(decomposition=[[True]])),
+    _with(BASES[0], lambda obj: obj["places"][1].update(inertia=[[3.0]])),
+    _with(BASES[0], lambda obj: obj["places"][1].update(tame_char=[[[3], [True, 2]]])),
+    _with(BASES[1], lambda obj: obj["places"][1]["conductors"][0].__setitem__(0, [True])),
 ]
 
 

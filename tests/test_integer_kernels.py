@@ -34,7 +34,7 @@ from epschar.euler import (
     multiplicity_closed,
     multiplicity_direct,
 )
-from epschar.groups import AbelianGroup
+from epschar.groups import AbelianGroup, Character, Subgroup, joint
 
 
 def _overridden_cover():
@@ -128,8 +128,11 @@ def _closed_term_by_fractions(p, q, l, chi):
 
 
 def _direct_term_by_fractions(p, q, l, chi):
-    e = q.e_t
-    k = q.tame_powers.get(tuple(chi.numerator(t) for t in q.inertia.elements()))
+    e, elements, n = q.e_t, q.inertia.elements(), q.inertia.root.exponent
+    # each k < e_t under the value table of xi^k on every element of inertia
+    xi = [q.tame_char.numerator(t) for t in elements]
+    powers = {tuple(k * x % n for x in xi): k for k in reversed(range(e))}
+    k = powers.get(tuple(chi.numerator(t) for t in elements))
     if k is None:
         raise InvalidInputError("character does not match the cotangent data at %s" % q.label)
     untwist = pow(p, -1, e)
@@ -271,19 +274,38 @@ def test_ramification_kinds_match_the_trivial_on_rule():
     assert len(kinds) == 6
 
 
-def test_numerators_are_the_values_on_each_element():
-    group = AbelianGroup((2, 12))
-    small, large = group.subgroup([(0, 6)]), group.subgroup([(1, 0), (0, 4)])
-    for domain in (group, large, small):
-        for chi in domain.characters():
-            assert chi.sort_key == tuple(chi.numerator(g) for g in domain.elements())
-            for sub in (small, large, group.subgroup([(0, 3)])):
-                if sub.is_subset_of(domain):
-                    want = tuple(chi.numerator(g) for g in sub.elements())
-                    assert chi.numerators(sub) == want, (chi, sub)
-                else:
-                    with pytest.raises(DomainError):
-                        chi.numerators(sub)
+def _all_subgroups(root):
+    """Every subgroup of root: the joins of its cyclic subgroups."""
+    cyclic = {Subgroup.generated(root, [g]) for g in root.elements()}
+    found, frontier = set(cyclic), list(cyclic)
+    while frontier:
+        frontier = [h for h in {joint(a, c) for a in frontier for c in cyclic} if h not in found]
+        found.update(frontier)
+    return sorted(found, key=lambda h: (h.order, h.elements()))
+
+
+def _random_subgroups(root, count, seed):
+    rng = random.Random(seed)
+    return [root.subgroup([rng.choice(root.elements()) for _ in range(rng.randint(1, 3))])
+            for _ in range(count)]
+
+
+def test_key_order_is_the_value_table_order():
+    """Characters sort by their keys as by their values on the sorted elements."""
+    subgroups = []
+    for factors in ((2,), (6,), (12,), (2, 6), (4, 4), (3, 9), (4, 8), (5, 25), (2, 2, 2),
+                    (2, 2, 4), (3, 3, 3), (2, 4, 8), (2, 2, 2, 2)):
+        subgroups += _all_subgroups(AbelianGroup(factors))
+    for factors, seed in (((2, 6, 12), 1), ((3, 3, 9), 2), ((4, 20), 3)):
+        subgroups += _random_subgroups(AbelianGroup(factors), 8, seed)
+    assert len(subgroups) > 300
+    for h in subgroups:
+        # the subgroup's own characters, and every root vector restricted to it
+        chars = list(h.characters()) + [Character(h, v) for v in h.root.elements()[::7]]
+        by_table = sorted(chars, key=lambda chi: tuple(chi.numerator(g) for g in h.elements()))
+        assert sorted(chars, key=lambda chi: chi.sort_key) == by_table, h
+        assert list(h.characters()) == sorted(h.characters(), key=lambda chi: chi.sort_key)
+        assert all(len(chi.sort_key) == len(h.basis) for chi in chars)
     # the direct route refuses a character whose domain misses inertia,
     # as reading chi element by element did
     cover = _overridden_cover()
