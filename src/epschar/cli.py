@@ -151,6 +151,16 @@ def _parse_factors(text: str, p: int):
     return factors
 
 
+# the keys each builtin kind reads; any other key is refused
+_DSL_KEYS = {
+    "kummer": ("p", "n", "f"),
+    "as": ("p", "f"),
+    "artin-schreier": ("p", "f"),
+    "synthetic": ("seed", "index"),
+    "mixed": (),
+}
+
+
 def _dsl_params(rest: str):
     params = {}
     for item in rest.split(","):
@@ -159,7 +169,10 @@ def _dsl_params(rest: str):
         key, sep, value = item.partition("=")
         if not sep:
             raise InvalidInputError("expected key=value, got %r" % item)
-        params[key.strip()] = value.strip()
+        key = key.strip()
+        if key in params:
+            raise InvalidInputError("builtin spec repeats key %r" % key)
+        params[key] = value.strip()
     return params
 
 
@@ -175,6 +188,13 @@ def cover_from_dsl(text: str):
     """Builtin cover DSL -> CoverDatum (see module docstring for forms)."""
     kind, _, rest = text.strip().partition(":")
     params = _dsl_params(rest)
+    if kind not in _DSL_KEYS:
+        raise InvalidInputError(
+            "unknown builtin kind %r; use kummer, as, synthetic or mixed" % kind
+        )
+    for key in params:
+        if key not in _DSL_KEYS[kind]:
+            raise InvalidInputError("%s builtin takes no key %r" % (kind, key))
     if kind in ("kummer", "as", "artin-schreier"):
         p = _dsl_int(params, "p")
         n = _dsl_int(params, "n") if kind == "kummer" else None
@@ -190,11 +210,7 @@ def cover_from_dsl(text: str):
         if index < 0:
             raise InvalidInputError("synthetic index must be >= 0")
         return synthetic_corpus(index + 1, seed=seed)[index]
-    if kind == "mixed":
-        return mixed_synthetic_example()
-    raise InvalidInputError(
-        "unknown builtin kind %r; use kummer, as, synthetic or mixed" % kind
-    )
+    return mixed_synthetic_example()
 
 
 def _load_cover(args):
@@ -319,8 +335,7 @@ def _cmd_euler(args) -> int:
             spec = json.loads(args.divisor)
         except (ValueError, RecursionError) as exc:  # bad JSON, too many digits or too deep
             raise InvalidInputError("--divisor: %s" % exc) from None
-        # bool is an int subclass; JSON true is not a coefficient
-        if not isinstance(spec, dict) or any(type(v) is not int for v in spec.values()):
+        if not isinstance(spec, dict):
             raise InvalidInputError("--divisor wants a JSON object of place: integer")
         divisor = DivisorSpec(cover, spec)
     else:

@@ -767,7 +767,8 @@ def subcover_data(cover: CoverDatum, sub) -> CoverDatum:
     for q in cover.places:
         inertia = intersection(h, q.inertia)
         decomposition = intersection(h, q.decomposition)
-        count = cover.group.order // joint(h, q.decomposition).order
+        # [G : H D_q], with |H D_q| = |H| |D_q| / |H n D_q|
+        count = cover.group.order * decomposition.order // (h.order * q.decomposition.order)
         deg = q.degree * q.f * inertia.order // decomposition.order
         if q.degree * q.f * inertia.order % decomposition.order != 0:
             raise CoverValidationError("subcover-degree", "degree above %s not integral" % q.label)

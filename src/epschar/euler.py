@@ -61,14 +61,14 @@ class DivisorSpec:
         values = {}
         for label, q in known.items():
             n = coefficients.get(label, 0)
-            if n != int(n):
-                raise InvalidInputError("divisor coefficients must be integers")
+            if type(n) is not int:  # a float or a bool is no coefficient
+                raise InvalidInputError("divisor coefficient at %s must be an integer" % label)
             if (n + 1) % q.e_w != 0:
                 raise InvalidInputError(
                     "coefficient %d at %s violates n = -1 mod e_w = %d" % (n, label, q.e_w)
                 )
             if n != 0:
-                values[label] = int(n)
+                values[label] = n
         self.values = values
 
     @staticmethod

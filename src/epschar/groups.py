@@ -577,9 +577,11 @@ def restrict(x: K0Element, sub) -> K0Element:
         raise LevelError("restrict is defined at char0 and modules levels")
     if sub.root != x.group.root or not sub.is_subset_of(x.group):
         raise GroupMismatchError("can only restrict to a subgroup")
+    # chi restricts to the character of sub with the same key on sub
+    by_key = {psi._key: psi for psi in sub.characters()}
     out = {}
     for chi, c in x.coeffs.items():
-        res = Character(sub, chi.vector)
+        res = by_key[sub._key(chi.vector)]
         out[res] = out.get(res, 0) + c
     return K0Element(sub, x.level, out, x.p)
 

@@ -200,7 +200,13 @@ def _formula_rhs_element(cover: CoverDatum) -> K0Element:
     return e_map(psi_structure(cover)) + wild_induction_term(cover)
 
 
-def check_restriction(cover: CoverDatum, sub) -> VerificationReport:
+def _cover_side(cover: CoverDatum):
+    """E of the cover and, on weakly ramified data, its right-side element."""
+    e_elt = E_element(cover, oracle=ORACLE_STICKELBERGER)
+    return e_elt, _formula_rhs_element(cover) if cover.weakly_ramified else None
+
+
+def check_restriction(cover: CoverDatum, sub, cover_side=None) -> VerificationReport:
     """Restriction of E to a subgroup against E of the intermediate cover.
 
     Also checks the bookkeeping on the structure side: restricting the
@@ -209,10 +215,12 @@ def check_restriction(cover: CoverDatum, sub) -> VerificationReport:
     For an abelian group every inertia subgroup at a wild place is a
     p-group, so no place can be wild upstairs but tame for the subcover;
     the correction terms therefore match place by place.  Both E are
-    read through the Stickelberger oracle.
+    read through the Stickelberger oracle.  cover_side is the cover's
+    _cover_side, built here when not given.
     """
     subcov = subcover_data(cover, sub)
-    e_res = restrict(E_element(cover, oracle=ORACLE_STICKELBERGER), sub)
+    e_cover, side_cover = cover_side or _cover_side(cover)
+    e_res = restrict(e_cover, sub)
     e_sub = E_element(subcov, oracle=ORACLE_STICKELBERGER)
     rows = []
     e_ok = True
@@ -224,7 +232,7 @@ def check_restriction(cover: CoverDatum, sub) -> VerificationReport:
         rows.append(ReportRow(label="E " + char_label(psi), lhs=lhs, rhs=rhs, passed=ok))
     side_ok = True
     if cover.weakly_ramified:
-        side_res = restrict(_formula_rhs_element(cover), sub)
+        side_res = restrict(side_cover, sub)
         side_sub = _formula_rhs_element(subcov)
         for psi in sub.characters():
             lhs = side_res.coefficient(psi)
@@ -381,6 +389,8 @@ def full_verification(cover: CoverDatum, oracle: str = ORACLE_PADIC):
     reports.append(check_weak(cover))
     reports.append(check_invariance(cover))
     if cover.g_cover is not None and cover.r == 1:
+        # the cover's side depends on no subgroup: build it once, for this call only
+        cover_side = _cover_side(cover)
         for sub in _cyclic_subgroups(cover.group):
-            reports.append(check_restriction(cover, sub))
+            reports.append(check_restriction(cover, sub, cover_side))
     return reports

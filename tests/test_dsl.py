@@ -103,6 +103,30 @@ def test_rendered_factors_parse_back(case):
     assert _parse_factors(text, p) == entries
 
 
+# a repeated key, or a key the kind does not read, is refused with the key named
+REFUSED_KEYS = [
+    ("kummer:p=5,n=2,f=x,p=7", "'p'"),
+    ("kummer:p=5,n=2,f=x,q=3", "'q'"),
+    ("as:p=2,f=1/x,n=3", "'n'"),
+    ("mixed:p=5", "'p'"),
+    ("synthetic:seed=1,index=0,bogus=1", "'bogus'"),
+]
+
+
+@pytest.mark.parametrize("spec, key", REFUSED_KEYS)
+def test_builtin_refuses_a_repeated_or_unknown_key(spec, key):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(["epsilon", "--builtin", spec]) == 2
+    assert err.getvalue().startswith("input error") and key in err.getvalue()
+
+
+@pytest.mark.parametrize("spec", ["kummer:p=5,n=2,f=x(x-1),", "as:,p=2,,f=1/x", "mixed:",
+                                  "artin-schreier:p=2,f=1/x", "synthetic:seed=1,"])
+def test_builtin_allows_empty_items(spec):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["epsilon", "--builtin", spec]) == 0
+
+
 LONG_RUN = "1" * 5000
 NUMBERS = ["1", "2", "4", "-3", "0", LONG_RUN]
 # factor shapes with N for a drawn number, and stray characters

@@ -62,6 +62,10 @@ def test_divisor_spec_validation():
         DivisorSpec(cov, {"y": 1})  # unknown place
     with pytest.raises(InvalidInputError):
         DivisorSpec(cov, {"x": Fraction(1, 2)})
+    # a float or a bool is no coefficient, even when it equals an integer
+    for bad in (-1.0, 1.0, True):
+        with pytest.raises(InvalidInputError):
+            DivisorSpec(cov, {"x": bad})
     wild = artin_schreier_cover(2, [((0, 1), -1)])
     with pytest.raises(InvalidInputError):
         DivisorSpec.zero(wild)  # 0 is not -1 mod e_w at the wild place
