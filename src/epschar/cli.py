@@ -33,21 +33,8 @@ import os
 import re
 import sys
 
-from .errors import (
-    CapacityError,
-    ConstantExtensionError,
-    CoverValidationError,
-    DomainError,
-    IncompleteDatumError,
-    IntegralityError,
-    InvalidInputError,
-    NotWeaklyRamifiedError,
-    PrecisionError,
-    ReducibleCoverError,
-    UnsupportedCoverError,
-)
+from .errors import CapacityError, EpscharError, InvalidInputError
 from .fields import MAX_R, PrimePower, make_field
-from .cyclotomic import MultChar
 from .padic import padic_gauss_valuation
 from .stickelberger import digit_sum_valuation
 from .groups import K0Element, char_label, e_map, modular_basis, pairing
@@ -57,28 +44,13 @@ from .covers import (
     cover_from_json,
     cover_to_json,
     kummer_cover,
+    read_json,
 )
 from .corpus import constructed_corpus, mixed_synthetic_example, synthetic_corpus
 from .epsilon import ORACLE_PADIC, ORACLE_STICKELBERGER, global_epsilon_valuation
 from .numutil import exact_str
 from .euler import DivisorSpec, multiplicity_closed, multiplicity_direct, psi_structure
 from .verify import check_strong, check_weak, full_verification
-
-_PARSE_ERRORS = (
-    InvalidInputError,
-    CoverValidationError,
-    DomainError,
-    PrecisionError,
-    OSError,
-)
-_UNSUPPORTED_ERRORS = (
-    UnsupportedCoverError,
-    NotWeaklyRamifiedError,
-    ReducibleCoverError,
-    ConstantExtensionError,
-    IncompleteDatumError,
-    CapacityError,
-)
 
 # -- builtin cover DSL ------------------------------------------------------
 
@@ -214,9 +186,15 @@ def cover_from_dsl(text: str):
 
 
 def _load_cover(args):
+    if args.input is not None and args.builtin is not None:
+        raise InvalidInputError("pass one cover: --input FILE or --builtin SPEC, not both")
     if args.input:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            return cover_from_json(handle.read())
+        try:
+            with open(args.input, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:  # unreadable, or not UTF-8
+            raise InvalidInputError(str(exc)) from None
+        return cover_from_json(text)
     if args.builtin:
         return cover_from_dsl(args.builtin)
     raise InvalidInputError("a cover is required: pass --input FILE or --builtin SPEC")
@@ -251,7 +229,7 @@ def _cmd_gauss(args) -> int:
     if args.oracle in (ORACLE_STICKELBERGER, "both"):
         values[ORACLE_STICKELBERGER] = digit_sum_valuation(PrimePower(args.p, args.r), index)
     if args.oracle in (ORACLE_PADIC, "both"):
-        values[ORACLE_PADIC] = padic_gauss_valuation(ctx, MultChar(ctx, index))
+        values[ORACLE_PADIC] = padic_gauss_valuation(ctx, index)
     agree = len(set(values.values())) == 1 if len(values) == 2 else None
     # non-gating float sanity: tau(chi) = sum over k < q - 1 of
     # zeta_(q-1)^(-index k) zeta_p^Tr(g^k), summed in complex floats
@@ -331,10 +309,7 @@ def _cmd_epsilon(args) -> int:
 def _cmd_euler(args) -> int:
     cover = _load_cover(args)
     if args.divisor:
-        try:
-            spec = json.loads(args.divisor)
-        except (ValueError, RecursionError) as exc:  # bad JSON, too many digits or too deep
-            raise InvalidInputError("--divisor: %s" % exc) from None
+        spec = read_json(args.divisor, "--divisor")
         if not isinstance(spec, dict):
             raise InvalidInputError("--divisor wants a JSON object of place: integer")
         divisor = DivisorSpec(cover, spec)
@@ -514,20 +489,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the stderr prefix of each exit status an error class carries
+_PREFIXES = {1: "check failed", 2: "input error", 3: "unsupported datum"}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except IntegralityError as exc:
-        print("check failed: %s" % exc, file=sys.stderr)
-        return 1
-    except _PARSE_ERRORS as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return 2
-    except _UNSUPPORTED_ERRORS as exc:
-        print("unsupported datum: %s" % exc, file=sys.stderr)
-        return 3
+    except EpscharError as exc:
+        if exc.exit_status is None:  # a programming error: LevelError, GroupMismatchError
+            raise
+        print("%s: %s" % (_PREFIXES[exc.exit_status], exc), file=sys.stderr)
+        return exc.exit_status
 
 
 if __name__ == "__main__":

@@ -416,6 +416,8 @@ def validate_cover(cover: CoverDatum) -> None:
     if cover.g_base < 0:
         raise CoverValidationError("genus", "g_base must be >= 0")
     labels = [q.label for q in cover.places]
+    for label in labels:
+        _check_type(label, str, "a place label")
     if len(set(labels)) != len(labels):
         raise CoverValidationError("labels-distinct", "duplicate place labels")
     for q in cover.places:
@@ -880,57 +882,89 @@ def cover_to_json(cover: CoverDatum) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _distinct_keys(pairs) -> dict:
+    """object_pairs_hook of read_json: the object, refusing a key given twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InvalidInputError("repeated key %r" % key)
+        obj[key] = value
+    return obj
+
+
+def read_json(text: str, prefix: str):
+    """json.loads(text) with distinct keys in every object; InvalidInputError
+    otherwise, its message starting with prefix."""
+    try:
+        return json.loads(text, object_pairs_hook=_distinct_keys)
+    except (ValueError, RecursionError) as exc:  # bad JSON, a repeated key, too many digits or too deep
+        raise InvalidInputError("%s: %s" % (prefix, exc)) from None
+
+
+# the keys each kind of cover JSON reads, and those of a synthetic place; any other is refused
+_JSON_KEYS = {
+    "kummer": ("kind", "p", "n", "divisor"),
+    "artin-schreier": ("kind", "p", "divisor"),
+    "synthetic": ("kind", "group", "p", "r", "g_base", "weakly_ramified", "places"),
+}
+_PLACE_KEYS = ("label", "degree", "inertia", "decomposition", "tame_char", "conductors")
+
+
+def _refuse_unknown_keys(obj, keys, what) -> None:
+    for key in obj:
+        if key not in keys:
+            raise InvalidInputError("%s takes no key %r" % (what, key))
+
+
 def cover_from_json(text: str) -> CoverDatum:
     """Rebuild a cover datum from its JSON form; raises InvalidInputError."""
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits or too deep
-        raise InvalidInputError("invalid JSON: %s" % exc) from None
+    obj = read_json(text, "invalid JSON")
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InvalidInputError("cover JSON must be an object with a 'kind' field")
     kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in _JSON_KEYS:
+        raise InvalidInputError("unknown cover kind %r" % (kind,))
+    _refuse_unknown_keys(obj, _JSON_KEYS[kind], "%s cover JSON" % kind)
     try:
-        if kind == "kummer":
+        if kind != "synthetic":
             divisor = _divisor_from_obj(obj["p"], obj["divisor"])
-            return kummer_cover(obj["p"], obj["n"], divisor)
-        if kind == "artin-schreier":
-            divisor = _divisor_from_obj(obj["p"], obj["divisor"])
+            if kind == "kummer":
+                return kummer_cover(obj["p"], obj["n"], divisor)
             return artin_schreier_cover(obj["p"], divisor)
-        if kind == "synthetic":
-            group = AbelianGroup(tuple(obj["group"]))
-            places = []
-            for entry in obj["places"]:
-                inertia = group.subgroup([tuple(g) for g in entry["inertia"]])
-                decomposition = group.subgroup([tuple(g) for g in entry["decomposition"]])
-                overrides = None
-                if "conductors" in entry:
-                    overrides = {
-                        group.character(_ints(exps, "a character's exponents")): cd
-                        for exps, cd in entry["conductors"]
-                    }
-                places.append(
-                    PlaceDatum(
-                        label=entry["label"],
-                        p=obj["p"],
-                        degree=entry["degree"],
-                        inertia=inertia,
-                        decomposition=decomposition,
-                        tame_char=_character_from_obj(inertia, entry["tame_char"]),
-                        conductor_overrides=overrides,
-                    )
+        group = AbelianGroup(tuple(obj["group"]))
+        places = []
+        for entry in obj["places"]:
+            _refuse_unknown_keys(entry, _PLACE_KEYS, "a place entry")
+            inertia = group.subgroup([tuple(g) for g in entry["inertia"]])
+            decomposition = group.subgroup([tuple(g) for g in entry["decomposition"]])
+            overrides = None
+            if "conductors" in entry:
+                overrides = {
+                    group.character(_ints(exps, "a character's exponents")): cd
+                    for exps, cd in entry["conductors"]
+                }
+            places.append(
+                PlaceDatum(
+                    label=entry["label"],
+                    p=obj["p"],
+                    degree=entry["degree"],
+                    inertia=inertia,
+                    decomposition=decomposition,
+                    tame_char=_character_from_obj(inertia, entry["tame_char"]),
+                    conductor_overrides=overrides,
                 )
-            return synthetic_cover(
-                group,
-                obj["p"],
-                obj.get("r", 1),
-                obj.get("g_base", 0),
-                places,
-                weakly_ramified=obj.get("weakly_ramified", True),
             )
+        return synthetic_cover(
+            group,
+            obj["p"],
+            obj.get("r", 1),
+            obj.get("g_base", 0),
+            places,
+            weakly_ramified=obj.get("weakly_ramified", True),
+        )
     except EpscharError:
         raise
     except KeyError as exc:
         raise InvalidInputError("cover JSON is missing field %s" % exc) from None
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError("malformed cover JSON: %s" % exc) from None
-    raise InvalidInputError("unknown cover kind %r" % (kind,))

@@ -39,7 +39,6 @@ from .fields import make_field
 from .groups import Character, K0Element, LEVEL_CHAR0, char_label
 from .numutil import exact_ratio
 from .padic import padic_gauss_valuation
-from .cyclotomic import MultChar
 from .stickelberger import c_from_d, stickelberger_numerator
 
 ORACLE_STICKELBERGER = "stickelberger"
@@ -117,13 +116,31 @@ def _check_oracle(oracle):
         raise InvalidInputError("unknown oracle %r; choose from %s" % (oracle, ORACLES))
 
 
-def _local_term(cover, place, chi, oracle, kind) -> LocalEpsilonVal:
-    """local_epsilon of chi at place, given chi's ramification kind there.
+def local_epsilon(
+    cover: CoverDatum,
+    place: PlaceDatum,
+    chi: Character,
+    oracle: str = ORACLE_STICKELBERGER,
+) -> LocalEpsilonVal:
+    """Valuation of the local epsilon factor of chi at one place.
 
     Every term is built from integers: the wild one as deg cond over 2,
     the tame one as the Stickelberger sum over e_t or the p-adic
     valuation's numerator and denominator.
+
+    At a wild place chi restricted to inertia must have p-power order.
+    Its values then lie in Q(zeta_(p^k)), which has a single prime above
+    p, and complex conjugation fixes that prime; with
+    |epsilon_v|^2 = q_v^cond this gives v_p(epsilon_v) = deg cond / 2
+    (Tate, "Number theoretic background", Corvallis 1979, section 3).
+    A character that is nontrivial on both the wild and the tame part
+    of inertia takes values in Q(zeta_(p^k m)) with m > 1 prime to p.
+    There p can split, and complex conjugation need not fix a prime
+    above it, so the absolute value no longer fixes the valuation: such
+    a character raises UnsupportedCoverError.
     """
+    _check_oracle(oracle)
+    kind = place.ramification_kind(chi)
     if kind == "unramified":
         return LocalEpsilonVal(place.label, kind, 0)
     if kind == "wild":
@@ -140,32 +157,8 @@ def _local_term(cover, place, chi, oracle, kind) -> LocalEpsilonVal:
     c = c_from_d(datum, d)
     if oracle == ORACLE_STICKELBERGER:
         return LocalEpsilonVal(place.label, kind, stickelberger_numerator(datum, d), datum.e_t, c)
-    ctx = make_field(cover.p, place.degree)
-    val = padic_gauss_valuation(ctx, MultChar(ctx, c))
+    val = padic_gauss_valuation(make_field(cover.p, place.degree), c)
     return LocalEpsilonVal(place.label, kind, val.numerator, val.denominator, c)
-
-
-def local_epsilon(
-    cover: CoverDatum,
-    place: PlaceDatum,
-    chi: Character,
-    oracle: str = ORACLE_STICKELBERGER,
-) -> LocalEpsilonVal:
-    """Valuation of the local epsilon factor of chi at one place.
-
-    At a wild place chi restricted to inertia must have p-power order.
-    Its values then lie in Q(zeta_(p^k)), which has a single prime above
-    p, and complex conjugation fixes that prime; with
-    |epsilon_v|^2 = q_v^cond this gives v_p(epsilon_v) = deg cond / 2
-    (Tate, "Number theoretic background", Corvallis 1979, section 3).
-    A character that is nontrivial on both the wild and the tame part
-    of inertia takes values in Q(zeta_(p^k m)) with m > 1 prime to p.
-    There p can split, and complex conjugation need not fix a prime
-    above it, so the absolute value no longer fixes the valuation: such
-    a character raises UnsupportedCoverError.
-    """
-    _check_oracle(oracle)
-    return _local_term(cover, place, chi, oracle, place.ramification_kind(chi))
 
 
 def global_epsilon_valuation(
@@ -200,8 +193,7 @@ def epsilon_ledgers(cover: CoverDatum, oracle: str = ORACLE_STICKELBERGER):
             entry = chi if by_character else key
             lv = table.get(entry)
             if lv is None:
-                kind = q.ramification_kind(chi)
-                lv = table[entry] = _local_term(cover, q, chi, oracle, kind)
+                lv = table[entry] = local_epsilon(cover, q, chi, oracle)
             locals_.append(lv)
         yield EpsilonLedger(chi, base_term, tuple(locals_))
 

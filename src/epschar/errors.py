@@ -1,28 +1,35 @@
 """Exception types shared across the package.
 
-Each error class names the contract it enforces; the CLI maps them to
-exit codes (validation and parse problems exit 2, unsupported data 3).
+Each error class names the contract it enforces, and a class the CLI
+answers carries its exit status as exit_status: 1 a check failed, 2 the
+input is malformed, 3 the datum is unsupported.  The base class,
+LevelError and GroupMismatchError carry none: they are programming
+errors, and the CLI lets them propagate.
 """
 
 
 class EpscharError(Exception):
-    pass
+    exit_status = None
 
 
 class InvalidInputError(EpscharError, ValueError):
     """An argument fails a basic precondition (non-prime p, bad range)."""
+    exit_status = 2
 
 
 class CapacityError(EpscharError, ValueError):
     """The request is valid but exceeds the supported size bounds."""
+    exit_status = 3
 
 
 class DomainError(EpscharError, ValueError):
     """A value lies outside the mathematical domain of the operation."""
+    exit_status = 2
 
 
 class PrecisionError(EpscharError, ArithmeticError):
     """A p-adic computation cannot be resolved at the working precision."""
+    exit_status = 2
 
 
 class LevelError(EpscharError, ValueError):
@@ -35,18 +42,22 @@ class GroupMismatchError(EpscharError, ValueError):
 
 class ReducibleCoverError(EpscharError, ValueError):
     """The requested cover equation does not define an irreducible curve."""
+    exit_status = 3
 
 
 class ConstantExtensionError(EpscharError, ValueError):
     """The requested cover would extend the constant field."""
+    exit_status = 3
 
 
 class NotWeaklyRamifiedError(EpscharError, ValueError):
     """The datum violates weak ramification where it is required."""
+    exit_status = 3
 
 
 class CoverValidationError(EpscharError, ValueError):
     """A cover or place datum fails a named structural invariant."""
+    exit_status = 2
 
     def __init__(self, invariant, message):
         self.invariant = invariant
@@ -55,11 +66,14 @@ class CoverValidationError(EpscharError, ValueError):
 
 class UnsupportedCoverError(EpscharError, ValueError):
     """The operation is not defined for this kind of cover datum."""
+    exit_status = 3
 
 
 class IncompleteDatumError(EpscharError, ValueError):
     """The cover datum lacks data (e.g. conductors) the operation needs."""
+    exit_status = 3
 
 
 class IntegralityError(EpscharError, ArithmeticError):
     """A quantity that must be integral came out fractional."""
+    exit_status = 1

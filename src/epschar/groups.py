@@ -483,8 +483,8 @@ class K0Element:
 
 
 # Equal groups label their characters by their own generators, and a root
-# and its full subgroup label and order them differently, so these caches
-# are keyed by the generators too and typed to keep the two apart.
+# and its full subgroup label and order them differently, so this cache
+# is keyed by the generators too and typed to keep the two apart.
 @lru_cache(maxsize=None, typed=True)
 def _modular_basis_cached(group, generators, p):
     return tuple(chi for chi in group.characters() if chi.has_prime_to_p_order(p))
@@ -528,11 +528,9 @@ def e_map(x: K0Element) -> K0Element:
     """projectives -> char0: Cov(theta) -> sum of characters over theta."""
     if x.level != LEVEL_PROJECTIVES:
         raise LevelError("e_map starts at level projectives")
-    fibers = _e_fibers(x.group, x.group.generators, x.p)
-    out = {}
-    for theta, c in x.coeffs.items():
-        for chi in fibers[theta]:
-            out[chi] = out.get(chi, 0) + c
+    # chi has the coefficient of its prime-to-p part; K0Element drops the zeros
+    reductions = _prime_to_p_parts(x.group, x.p)
+    out = {chi: x.coefficient(theta) for chi, theta in reductions.items()}
     return K0Element(x.group, LEVEL_CHAR0, out, x.p)
 
 
@@ -547,14 +545,6 @@ def _prime_to_p_parts(group, p) -> dict:
     if table is None:
         table = group._reductions[p] = {chi: chi.prime_to_p_part(p) for chi in group.characters()}
     return table
-
-
-@lru_cache(maxsize=None, typed=True)
-def _e_fibers(group, generators, p):
-    fibers = {theta: [] for theta in modular_basis(group, p)}
-    for chi in group.characters():
-        fibers[chi.prime_to_p_part(p)].append(chi)
-    return fibers
 
 
 def pairing(x: K0Element, y: K0Element) -> int | Fraction:

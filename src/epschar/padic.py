@@ -105,7 +105,7 @@ def _gauss_tables(ctx: FieldContext, precision: int):
 def padic_gauss_valuation(ctx: FieldContext, chi) -> Fraction:
     """lambda-adic valuation of tau(chi), in ordinary v_p units.
 
-    chi is a MultChar (anything with an integer .index modulo q-1).
+    chi is an integer index modulo q-1, or anything with one as .index (a MultChar).
     The sum is assembled in the ramified ring at lambda precision
     r(p-1)+2; the result is exact as a Fraction with denominator
     dividing p-1.

@@ -111,6 +111,17 @@ class VerificationReport:
         }
 
 
+def _coefficient_rows(prefix, basis, lhs, rhs) -> list:
+    """A row per character of basis comparing its coefficients in the K0
+    elements lhs and rhs; with rhs None the rows are skipped."""
+    rows = []
+    for chi in basis:
+        a = lhs.coefficient(chi)
+        b = None if rhs is None else rhs.coefficient(chi)
+        rows.append(ReportRow(prefix + char_label(chi), a, b, passed=None if rhs is None else a == b))
+    return rows
+
+
 # every epsilon valuation is normalised with geometric Frobenius (see epsilon)
 _NORMALISATION_NOTE = "convention=standard"
 
@@ -172,17 +183,8 @@ def check_weak(cover: CoverDatum, oracle: str = ORACLE_STICKELBERGER) -> Verific
     e_elt = E_element(cover, oracle=oracle)
     image = decomposition_map(e_elt)
     structure = euler_char_structure_sheaf(cover) if cover.weakly_ramified else None
-    rows = []
-    weak_ok = True if cover.weakly_ramified else None
-    for theta in modular_basis(cover.group, cover.p):
-        lhs = image.coefficient(theta)
-        if structure is None:
-            rows.append(ReportRow(label=char_label(theta), lhs=lhs, rhs=None))
-            continue
-        rhs = structure.coefficient(theta)
-        ok = lhs == rhs
-        weak_ok = weak_ok and ok
-        rows.append(ReportRow(label=char_label(theta), lhs=lhs, rhs=rhs, passed=ok))
+    rows = _coefficient_rows("", modular_basis(cover.group, cover.p), image, structure)
+    weak_ok = None if structure is None else all(row.passed for row in rows)
     notes = ["oracle=%s" % oracle, _NORMALISATION_NOTE]
     if structure is None:
         notes.append("structure side skipped: datum is not weakly ramified")
@@ -220,30 +222,16 @@ def check_restriction(cover: CoverDatum, sub, cover_side=None) -> VerificationRe
     """
     subcov = subcover_data(cover, sub)
     e_cover, side_cover = cover_side or _cover_side(cover)
-    e_res = restrict(e_cover, sub)
     e_sub = E_element(subcov, oracle=ORACLE_STICKELBERGER)
-    rows = []
-    e_ok = True
-    for psi in sub.characters():
-        lhs = e_res.coefficient(psi)
-        rhs = e_sub.coefficient(psi)
-        ok = lhs == rhs
-        e_ok = e_ok and ok
-        rows.append(ReportRow(label="E " + char_label(psi), lhs=lhs, rhs=rhs, passed=ok))
-    side_ok = True
+    rows = _coefficient_rows("E ", sub.characters(), restrict(e_cover, sub), e_sub)
+    e_ok = all(row.passed for row in rows)
+    side_ok = None
     if cover.weakly_ramified:
-        side_res = restrict(side_cover, sub)
-        side_sub = _formula_rhs_element(subcov)
-        for psi in sub.characters():
-            lhs = side_res.coefficient(psi)
-            rhs = side_sub.coefficient(psi)
-            ok = lhs == rhs
-            side_ok = side_ok and ok
-            rows.append(
-                ReportRow(label="rhs " + char_label(psi), lhs=lhs, rhs=rhs, passed=ok)
-            )
-    else:
-        side_ok = None
+        side_rows = _coefficient_rows(
+            "rhs ", sub.characters(), restrict(side_cover, sub), _formula_rhs_element(subcov)
+        )
+        side_ok = all(row.passed for row in side_rows)
+        rows += side_rows
     return VerificationReport(
         kind="restriction",
         cover="%s | subgroup of order %d" % (cover.summary(), sub.order),

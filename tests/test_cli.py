@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from epschar import cli
+from epschar import cli, errors
 from epschar.cli import cover_from_dsl, main
 from epschar.covers import cover_to_json, synthetic_cover
 from epschar.errors import InvalidInputError
@@ -216,6 +216,77 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2 and "input error" in err and out == ""
 
 
+def test_euler_refuses_a_repeated_divisor_place(capsys):
+    # the last "x" would win, and the illegal 4 would never be checked
+    code, out, err = run(capsys, "euler", "--builtin", "as:p=2,f=1/x",
+                         "--divisor", '{"x": 4, "x": -1}')
+    assert code == 2 and err.startswith("input error: --divisor: repeated key 'x'") and out == ""
+
+
+def test_input_and_builtin_together_are_refused(tmp_path, capsys):
+    path = tmp_path / "cover.json"
+    path.write_text(cover_to_json(cover_from_dsl("kummer:p=5,n=2,f=x(x-1)")))
+    code, out, err = run(capsys, "epsilon", "--input", str(path), "--builtin", "as:p=5,f=1/x")
+    assert code == 2 and err.startswith("input error:") and out == ""
+
+
+def test_unreadable_input_is_an_input_error(tmp_path, capsys):
+    absent = tmp_path / "absent.json"
+    code, _, err = run(capsys, "epsilon", "--input", str(absent))
+    assert code == 2 and err == "input error: [Errno 2] No such file or directory: %r\n" % str(absent)
+    code, _, err = run(capsys, "epsilon", "--input", str(tmp_path))
+    assert code == 2 and err.startswith("input error: [Errno 21]")
+    # bytes that are not UTF-8: an input error, not a traceback
+    absent.write_bytes(b"\xff\xfe{")
+    code, _, err = run(capsys, "epsilon", "--input", str(absent))
+    assert code == 2 and err.startswith("input error: 'utf-8' codec can't decode")
+
+
+# the exit status main gave each error class through its except clauses
+# before the classes carried it themselves
+_EXIT_STATUS = {
+    errors.IntegralityError: 1,
+    errors.InvalidInputError: 2,
+    errors.CoverValidationError: 2,
+    errors.DomainError: 2,
+    errors.PrecisionError: 2,
+    errors.CapacityError: 3,
+    errors.UnsupportedCoverError: 3,
+    errors.NotWeaklyRamifiedError: 3,
+    errors.ReducibleCoverError: 3,
+    errors.ConstantExtensionError: 3,
+    errors.IncompleteDatumError: 3,
+}
+_PREFIX = {1: "check failed: ", 2: "input error: ", 3: "unsupported datum: "}
+
+
+def _raising_corpus_command(monkeypatch, exc):
+    def handler(args):
+        raise exc
+
+    help_text, oracle, reads_cover, _ = cli._COMMANDS["corpus"]
+    monkeypatch.setitem(cli._COMMANDS, "corpus", (help_text, oracle, reads_cover, handler))
+
+
+def test_each_error_class_carries_the_exit_status_main_answers_with(monkeypatch, capsys):
+    classes = {cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.EpscharError)}
+    unanswered = {errors.EpscharError, errors.LevelError, errors.GroupMismatchError}
+    assert classes == set(_EXIT_STATUS) | unanswered
+    for cls, status in _EXIT_STATUS.items():
+        assert cls.exit_status == status, cls
+        exc = cls("boom", "why") if cls is errors.CoverValidationError else cls("boom")
+        _raising_corpus_command(monkeypatch, exc)
+        code, out, err = run(capsys, "corpus")
+        assert (code, out, err) == (status, "", "%s%s\n" % (_PREFIX[status], exc)), cls
+    for cls in unanswered:
+        # programming errors, not answers: main lets them propagate
+        assert getattr(cls, "exit_status", None) is None, cls
+        _raising_corpus_command(monkeypatch, cls("boom"))
+        with pytest.raises(cls):
+            main(["corpus"])
+
+
 def test_cover_json_exit_codes_match_the_dsl(tmp_path, capsys):
     # the same unsupported Kummer datum exits 3 from JSON as from the DSL
     path = tmp_path / "kummer.json"
@@ -393,6 +464,16 @@ def test_a_closed_stdout_is_not_an_error(argv):
 def test_no_numpy_import():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, epschar.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+
+def test_the_cli_does_not_import_the_cyclotomic_ring():
+    # the p-adic oracle reads a Gauss index as an int, so no command needs Z[zeta_m]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, epschar.cli; print('epschar.cyclotomic' in sys.modules)"],
         capture_output=True,
         text=True,
     )

@@ -7,7 +7,9 @@ integer, or an inertia group given by elements that do not generate a
 subgroup of the decomposition group (or of the root group at all).
 main must answer every body with an exit status 0-3 and no traceback.
 A fixed list of bodies with a float or a bool where the schema stores
-an integer, or a string where it stores a bool, must exit 2.
+an integer, or a string where it stores a bool, must exit 2, and so must
+one that repeats a key, has a key its kind does not read, or labels a
+place by a number.
 """
 
 import contextlib
@@ -19,7 +21,8 @@ import tempfile
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from epschar.cli import main
-from epschar.corpus import mixed_synthetic_example
+from epschar import covers
+from epschar.corpus import constructed_corpus, mixed_synthetic_example, synthetic_corpus
 from epschar.covers import artin_schreier_cover, cover_to_json, kummer_cover, synthetic_cover
 from epschar.groups import AbelianGroup
 
@@ -162,15 +165,48 @@ NON_INTEGER_BODIES = [
 ]
 
 
-def test_non_integer_numbers_in_cover_json_exit_2():
+# a repeated key (the last one would win), a key the kind does not read,
+# and a place label that is not a string
+_KUMMER = '{"kind":"kummer","p":5,"n":2,"divisor":[[[0,1],1],[[4,1],1],["inf",-2]]%s}'
+REFUSED_BODIES = [
+    _KUMMER % ',"p":7',
+    _KUMMER % ',"bogus":1',
+    _KUMMER % ',"r":1',
+    json.dumps(BASES[3])[:-1] + ',"n":3}',
+    json.dumps(BASES[0])[:-1] + ',"divisor":[]}',
+    json.dumps(_with(BASES[0], lambda obj: obj["places"][0].update(label=5))),
+    json.dumps(_with(BASES[0], lambda obj: obj["places"][0].update(p=5))),
+    json.dumps(_with(BASES[1], lambda obj: obj["places"][1].update(conductor=[]))),
+    json.dumps(BASES[0]).replace('"degree":', '"degree":1,"degree":', 1),
+]
+
+
+def test_cover_json_writes_only_the_keys_it_reads():
+    data = constructed_corpus() + synthetic_corpus(20, seed=1)
+    # BASES[1] stores conductors
+    for obj in BASES + [json.loads(cover_to_json(cover)) for cover in data]:
+        assert set(obj) <= set(covers._JSON_KEYS[obj["kind"]]), obj
+        for place in obj.get("places", ()):
+            assert set(place) <= set(covers._PLACE_KEYS), place
+
+
+def _assert_each_body_exits_2(bodies):
     fd, path = tempfile.mkstemp(suffix=".json")
     os.close(fd)
     try:
-        for body in NON_INTEGER_BODIES:
+        for body in bodies:
             with open(path, "w", encoding="utf-8") as handle:
-                json.dump(body, handle)
+                handle.write(body)
             for command in (["epsilon"], ["verify-weak"], ["verify-all"]):
                 status, err = _run(command + ["--input", path])
                 assert status == 2 and err.startswith("input error"), (command, body, err)
     finally:
         os.unlink(path)
+
+
+def test_non_integer_numbers_in_cover_json_exit_2():
+    _assert_each_body_exits_2([json.dumps(body) for body in NON_INTEGER_BODIES])
+
+
+def test_repeated_and_unknown_keys_and_numeric_labels_in_cover_json_exit_2():
+    _assert_each_body_exits_2(REFUSED_BODIES)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from epschar.corpus import constructed_corpus, restriction_chain_covers
+from epschar.covers import subcover_data
 from epschar.errors import (
     CapacityError,
     DomainError,
@@ -10,6 +12,7 @@ from epschar.errors import (
     InvalidInputError,
     LevelError,
 )
+from epschar.euler import psi_structure
 from epschar.groups import (
     LEVEL_CHAR0,
     LEVEL_MODULES,
@@ -360,3 +363,51 @@ def test_sylow_is_the_set_of_p_power_order_elements(factors):
         for p in (2, 3, 5):
             want = {g for g in sub.elements() if p_part(sub.element_order(g), p) == sub.element_order(g)}
             assert sylow_p_subgroup(sub, p).element_set == want, (sub, p)
+
+
+def _e_map_reference(x):
+    """sum over theta of c_theta times every chi whose prime-to-p part is theta."""
+    out = {}
+    for theta, c in x.coeffs.items():
+        for chi in x.group.characters():
+            if chi.prime_to_p_part(x.p) == theta:
+                out[chi] = out.get(chi, 0) + c
+    return K0Element(x.group, LEVEL_CHAR0, out, x.p)
+
+
+def _by_label(x):
+    return {char_label(chi): c for chi, c in x.coeffs.items()}
+
+
+def _assert_e_map_matches_the_reference(x):
+    got, want = e_map(x), _e_map_reference(x)
+    assert got == want and _by_label(got) == _by_label(want), x
+
+
+def test_e_map_of_psi_matches_the_fiber_sum():
+    covers = list(constructed_corpus())
+    for cover in restriction_chain_covers():
+        covers += [subcover_data(cover, cover.group.subgroup([g])) for g in cover.group.elements()]
+    for cover in covers:
+        _assert_e_map_matches_the_reference(psi_structure(cover))
+    assert len(covers) > 40
+
+
+def test_e_map_of_seeded_projective_elements_matches_the_fiber_sum():
+    rng = random.Random(34)
+    checked = 0
+    for factors, p in [((12,), 2), ((12,), 3), ((2, 6), 2), ((2, 6), 3), ((3, 9), 3)]:
+        root = AbelianGroup(factors)
+        groups = [root, root.full_subgroup()]
+        for g in root.elements():
+            for h in root.elements()[::3]:
+                sub = root.subgroup([g, h])
+                # the same subgroup under other generators labels its characters otherwise
+                groups += [sub, root.subgroup(sorted(sub.element_set, reverse=True))]
+        for group in groups:
+            basis = modular_basis(group, p)
+            coeffs = {theta: Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+                      for theta in rng.sample(basis, rng.randint(0, len(basis)))}
+            _assert_e_map_matches_the_reference(K0Element(group, LEVEL_PROJECTIVES, coeffs, p))
+            checked += 1
+    assert checked > 100

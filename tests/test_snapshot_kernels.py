@@ -317,14 +317,14 @@ def _term_key(place, chi):
 
 def _spy_on_the_ledger_kernel(monkeypatch):
     """Record (cover, oracle, place, term key) of each local term computed."""
-    kernel = epsilon._local_term
+    kernel = epsilon.local_epsilon
     calls = []
 
-    def spy(cover, place, chi, oracle, kind):
+    def spy(cover, place, chi, oracle):
         calls.append((id(cover), oracle, id(place), _term_key(place, chi)))
-        return kernel(cover, place, chi, oracle, kind)
+        return kernel(cover, place, chi, oracle)
 
-    monkeypatch.setattr(epsilon, "_local_term", spy)
+    monkeypatch.setattr(epsilon, "local_epsilon", spy)
     return calls
 
 
