@@ -224,7 +224,7 @@ def _emit(args, table_lines, json_obj) -> None:
 def _cmd_gauss(args) -> int:
     ctx = make_field(args.p, args.r)
     q = ctx.q
-    index = args.char % (q - 1) if q > 2 else 0
+    index = args.char % (q - 1)
     values = {}
     if args.oracle in (ORACLE_STICKELBERGER, "both"):
         values[ORACLE_STICKELBERGER] = digit_sum_valuation(PrimePower(args.p, args.r), index)

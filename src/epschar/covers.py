@@ -39,6 +39,7 @@ from .groups import (
     AbelianGroup,
     Character,
     Subgroup,
+    char_label,
     cyclic_character,
     intersection,
     joint,
@@ -297,7 +298,7 @@ class PlaceDatum:
         The cotangent character at the new point is the p^j-th power of
         the old one; all other local data is unchanged.
         """
-        k = pow(self.p, j % max(1, self.degree * self.f), self.e_t) if self.e_t > 1 else 1
+        k = pow(self.p, j, self.e_t)
         return replace(self, tame_char=self.tame_char**k)
 
     def __repr__(self):
@@ -939,10 +940,13 @@ def cover_from_json(text: str) -> CoverDatum:
             decomposition = group.subgroup([tuple(g) for g in entry["decomposition"]])
             overrides = None
             if "conductors" in entry:
-                overrides = {
-                    group.character(_ints(exps, "a character's exponents")): cd
-                    for exps, cd in entry["conductors"]
-                }
+                overrides = {}
+                for exps, cd in entry["conductors"]:
+                    chi = group.character(_ints(exps, "a character's exponents"))
+                    if chi in overrides:  # the last conductor would silently win
+                        raise InvalidInputError("place %r gives two conductors for %s"
+                                                % (entry["label"], char_label(chi)))
+                    overrides[chi] = cd
             places.append(
                 PlaceDatum(
                     label=entry["label"],

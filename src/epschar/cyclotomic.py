@@ -296,7 +296,7 @@ class MultChar:
     index: int
 
     def __post_init__(self):
-        object.__setattr__(self, "index", self.index % (self.ctx.q - 1) if self.ctx.q > 2 else 0)
+        object.__setattr__(self, "index", self.index % (self.ctx.q - 1))
 
     @property
     def is_trivial(self) -> bool:
@@ -315,7 +315,7 @@ class MultChar:
 
 
 def gauss_order(ctx: FieldContext) -> int:
-    return lcm(ctx.p, ctx.q - 1) if ctx.q > 2 else ctx.p
+    return lcm(ctx.p, ctx.q - 1)
 
 
 def gauss_sum(ctx: FieldContext, chi: MultChar) -> CyclotomicInt:
@@ -333,7 +333,7 @@ def gauss_sum(ctx: FieldContext, chi: MultChar) -> CyclotomicInt:
 @lru_cache(maxsize=1)
 def _gauss_sum(ctx: FieldContext, index: int) -> CyclotomicInt:
     m = gauss_order(ctx)
-    mult_step = m // (ctx.q - 1) if ctx.q > 2 else 0
+    mult_step = m // (ctx.q - 1)
     add_step = m // ctx.p
     vec = [0] * m
     # entry k of trace_by_log is Tr(g^k)
@@ -356,10 +356,6 @@ def gauss_product_check(ctx: FieldContext, chi: MultChar) -> bool:
     return tau * tau_conj == rhs
 
 
-@lru_cache(maxsize=None)
 def _crt_unit(m: int, p: int, n: int) -> int:
-    """The residue mod m = lcm(p, n) that is 1 mod p and -1 mod n."""
-    for t in range(1, m + 1):
-        if t % p == 1 % p and t % n == (n - 1) % n and gcd(t, m) == 1:
-            return t
-    raise AssertionError("no CRT unit found")
+    """The residue mod m = p n, gcd(p, n) = 1, that is 1 mod p and -1 mod n."""
+    return (1 - 2 * p * pow(p, -1, n)) % m

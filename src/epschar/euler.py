@@ -129,18 +129,22 @@ def g_term(l: int, e: int, d: int, q_base: int, i: int) -> Fraction:
     return Fraction(_g_numerator(l, e, d, q_base, i), e)
 
 
-def _require_weak(cover: CoverDatum):
-    if not cover.weakly_ramified:
-        raise NotWeaklyRamifiedError(
-            "the structure formula needs a weakly ramified cover"
-        )
-
-
 def _base_term(cover: CoverDatum, D: DivisorSpec) -> int:
     """r(1 - g_base) plus deg(q) m_q over the places: an integer."""
     return cover.r * (1 - cover.g_base) + sum(
         q.degree * lm_decompose(q, D.value(q)).m for q in cover.places
     )
+
+
+def _weak_parts(cover: CoverDatum, D: DivisorSpec):
+    """The base term, (q, l) at each tame place and L, the lcm of their e_t;
+    D defaults to the canonical wild divisor.  On weak data tame places have e_w = 1."""
+    if not cover.weakly_ramified:
+        raise NotWeaklyRamifiedError("the structure formula needs a weakly ramified cover")
+    if D is None:
+        D = DivisorSpec.wild_canonical(cover)
+    places = [(q, lm_decompose(q, D.value(q)).l) for q in cover.places if q.e_t > 1]
+    return _base_term(cover, D), places, lcm(*(q.e_t for q, _ in places))
 
 
 def psi_structure(cover: CoverDatum, D: DivisorSpec = None) -> K0Element:
@@ -153,20 +157,15 @@ def psi_structure(cover: CoverDatum, D: DivisorSpec = None) -> K0Element:
     base curve.  Only tamely ramified places contribute to the first
     two summands.
     """
-    _require_weak(cover)
-    if D is None:
-        D = DivisorSpec.wild_canonical(cover)
+    base, places, L = _weak_parts(cover, D)
     group = cover.group
     p = cover.p
     basis = modular_basis(group, p)
     factors = group.root.invariant_factors
     # every coefficient is kept as an integer numerator over L, by basis index
-    L = lcm(*(q.e_t for q in cover.places))
-    nums = [_base_term(cover, D) * L] * len(basis)
-    for q in cover.places:
-        if q.e_t == 1:
-            continue
-        e, l = q.e_t, lm_decompose(q, D.value(q)).l
+    nums = [base * L] * len(basis)
+    for q, l in places:
+        e = q.e_t
         # e times the coefficient of xi^k, by k mod e: the cotangent
         # character xi has order e, and xi_j^d = xi^(p^j d)
         by_power = [0] * e
@@ -192,15 +191,6 @@ def psi_structure(cover: CoverDatum, D: DivisorSpec = None) -> K0Element:
         raise IntegralityError("structure element has non-integral coefficients: %r" % acc)
     return K0Element(group, LEVEL_PROJECTIVES,
                      {chi: c // L for chi, c in zip(basis, nums) if c}, p=p)
-
-
-def _multiplicity_parts(cover: CoverDatum, D: DivisorSpec):
-    """The base term, and (q, l) for each place with a local term."""
-    _require_weak(cover)
-    if D is None:
-        D = DivisorSpec.wild_canonical(cover)
-    places = [(q, lm_decompose(q, D.value(q)).l) for q in cover.places if q.e_t > 1 and q.e_w == 1]
-    return _base_term(cover, D), places
 
 
 def _closed_numerator(p: int, q: PlaceDatum, l: int, chi: Character) -> int:
@@ -239,8 +229,7 @@ def _direct_numerator(p: int, q: PlaceDatum, l: int, chi: Character) -> int:
 def _multiplicity(cover: CoverDatum, D: DivisorSpec, chi: Character, numerator):
     """The multiplicity of one character along one route, summed as in
     _tabled_multiplicities: integer numerators over L, then one exact_ratio."""
-    base, places = _multiplicity_parts(cover, D)
-    L = lcm(*(q.e_t for q, _ in places))
+    base, places, L = _weak_parts(cover, D)
     total = base * L
     p = cover.p
     for q, l in places:
@@ -258,8 +247,7 @@ def _tabled_multiplicities(cover: CoverDatum, D: DivisorSpec, numerator):
     an integer numerator over L, the lcm of the e_t of the places, and
     each multiplicity is one exact_ratio.
     """
-    base, places = _multiplicity_parts(cover, D)
-    L = lcm(*(q.e_t for q, _ in places))
+    base, places, L = _weak_parts(cover, D)
     chars = cover.characters()
     totals = [base * L] * len(chars)
     p = cover.p
@@ -301,7 +289,6 @@ def euler_char_structure_sheaf(cover: CoverDatum) -> K0Element:
     wild place, the modular class of the induction of the trivial
     character of the local group at that point.
     """
-    _require_weak(cover)
     psi = psi_structure(cover, DivisorSpec.wild_canonical(cover))
     return cartan_map(psi) + decomposition_map(wild_induction_term(cover), cover.p)
 

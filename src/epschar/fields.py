@@ -184,7 +184,7 @@ class FieldContext:
     def _find_generator(self):
         # the first element in numeric order whose order is q - 1
         q = self.q
-        factors = list(factorize(q - 1)) if q > 2 else []
+        factors = factorize(q - 1)
         for enc in range(1, q):
             g = self.element_from_int(enc)
             if all(self.pow(g, (q - 1) // f) != self.one for f in factors):

@@ -249,11 +249,6 @@ class AbelianGroup(Subgroup):
         return Character(self, exponents)
 
 
-def _numerator(root, vector, g) -> int:
-    """N chi(g) mod N for the character with this vector, N the root exponent."""
-    return sum(map(mul, map(mul, vector, root._weights), g)) % root.exponent
-
-
 def intersection(a: Subgroup, b: Subgroup) -> Subgroup:
     if a.root != b.root:
         raise GroupMismatchError("subgroups of different roots")
@@ -274,10 +269,6 @@ def sylow_p_subgroup(group, p: int) -> Subgroup:
     factors = group.root.invariant_factors
     return Subgroup(group.root, {tuple(m * x % n for x, n in zip(g, factors))
                                  for g in group.elements()})
-
-
-def sylow_p_order(group, p: int) -> int:
-    return p_part(group.order, p)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +292,8 @@ class Character:
         """N chi(g), an integer mod the root exponent N."""
         if not self.domain.contains(g):
             raise DomainError(f"{g} is not in the domain of the character")
-        return _numerator(self.domain.root, self.vector, g)
+        root = self.domain.root
+        return sum(map(mul, map(mul, self.vector, root._weights), g)) % root.exponent
 
     def value(self, g) -> Fraction:
         return Fraction(self.numerator(g), self.domain.root.exponent)
@@ -339,8 +331,7 @@ class Character:
         return Character(sub, self.vector)
 
     def trivial_on(self, group) -> bool:
-        root = self.domain.root
-        return all(_numerator(root, self.vector, g) == 0 for g in group.generators)
+        return not any(group._key(self.vector))
 
     def prime_to_p_part(self, p: int) -> "Character":
         n = self.order
@@ -349,8 +340,7 @@ class Character:
             return self
         npp = n // np
         # exponent that is 1 mod the prime-to-p order and 0 mod the p-part
-        e = np * pow(np, -1, npp) if npp > 1 else 0
-        return self**e
+        return self**(np * pow(np, -1, npp))
 
     def has_prime_to_p_order(self, p: int) -> bool:
         return self.order % p != 0
@@ -519,7 +509,7 @@ def cartan_map(x: K0Element) -> K0Element:
     """projectives -> modules: multiplication by |Sylow_p(G)|."""
     if x.level != LEVEL_PROJECTIVES:
         raise LevelError("cartan_map starts at level projectives")
-    scale = sylow_p_order(x.group, x.p)
+    scale = p_part(x.group.order, x.p)
     return K0Element(x.group, LEVEL_MODULES,
                      {chi: scale * c for chi, c in x.coeffs.items()}, x.p)
 

@@ -20,7 +20,6 @@ e_t | q - 1 tame part, e_w a power of p wild part):
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 
 from .errors import DomainError, InvalidInputError
 from .fields import PrimePower
@@ -106,13 +105,8 @@ def d_from_c(datum: TameLocalDatum, c: int) -> int:
     c %= q - 1
     if c % step != 0:
         raise DomainError(f"c = {c} is not in the image (must be divisible by {step})")
-    n = minimal_power_clearing_wild(datum)
-    unit = (datum.q**n // datum.e_w) % e if e > 1 else 0
-    if e == 1:
-        return 0
-    if gcd(unit, e) != 1:
-        raise AssertionError("wild unit must be invertible modulo e_t")
-    return ((c // step) * pow(unit, -1, e)) % e
+    # composition_exponent is step times the wild unit q^N / e_w, a unit mod e_t
+    return (c // step) * pow(datum.composition_exponent // step, -1, e) % e
 
 
 def stickelberger_numerator(datum: TameLocalDatum, d: int) -> int:
@@ -133,6 +127,6 @@ def stickelberger_valuation(datum: TameLocalDatum, d: int) -> Fraction:
 
 def digit_sum_valuation(pp: PrimePower, c: int) -> Fraction:
     """Base-p digit sum s(c) / (p-1) for a multiplicative index c over F_q."""
-    if not 0 <= c <= max(pp.q - 2, 0):
+    if not 0 <= c <= pp.q - 2:
         raise DomainError(f"c = {c} must lie in [0, q-2]")
     return Fraction(digit_sum(c, pp.p), pp.p - 1)

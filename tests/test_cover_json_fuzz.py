@@ -166,7 +166,8 @@ NON_INTEGER_BODIES = [
 
 
 # a repeated key (the last one would win), a key the kind does not read,
-# and a place label that is not a string
+# a place label that is not a string, and a character given two conductors
+# ([4] is chi(1) again in Z/3)
 _KUMMER = '{"kind":"kummer","p":5,"n":2,"divisor":[[[0,1],1],[[4,1],1],["inf",-2]]%s}'
 REFUSED_BODIES = [
     _KUMMER % ',"p":7',
@@ -178,6 +179,9 @@ REFUSED_BODIES = [
     json.dumps(_with(BASES[0], lambda obj: obj["places"][0].update(p=5))),
     json.dumps(_with(BASES[1], lambda obj: obj["places"][1].update(conductor=[]))),
     json.dumps(BASES[0]).replace('"degree":', '"degree":1,"degree":', 1),
+    '{"kind":"synthetic","group":[3],"p":3,"r":1,"g_base":0,"weakly_ramified":false,'
+    '"places":[{"label":"a","degree":1,"inertia":[[1]],"decomposition":[[1]],'
+    '"tame_char":[[[1],[0,1]]],"conductors":[[[1],4],[[4],3],[[2],3]]}]}',
 ]
 
 

@@ -230,6 +230,10 @@ def test_twisted_place():
     # the Frobenius orbit of the chosen point has length deg * f = 3
     assert q.twisted(3).tame_char == xi
     assert q.twisted(0).tame_char == xi
+    # e_t = 1: the cotangent character is trivial on inertia, and stays so
+    for q in artin_schreier_cover(3, [((0, 1), -1), ((1, 0, 1), -1)]).places:
+        assert q.e_t == 1
+        assert all(q.twisted(j).tame_char == q.tame_char for j in (0, 1, 2, 3, 7)), q.label
 
 
 def test_riemann_hurwitz_parity_guard():

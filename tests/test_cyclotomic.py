@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -89,6 +90,11 @@ def test_multchar_basics():
     assert MultChar(ctx, 3).value_on_minus_one() == -1
     assert MultChar(make_field(5, 1), 2).value_on_minus_one() == 1
     assert MultChar(make_field(2, 1), 0).value_on_minus_one() == 1
+    # F_2 has only the trivial character, and its tau is -1 in Z[zeta_2]
+    f2 = make_field(2, 1)
+    assert gauss_order(f2) == 2
+    assert all(MultChar(f2, k).index == 0 for k in (-3, -1, 0, 1, 2, 5))
+    assert gauss_sum(f2, MultChar(f2, 1)) == CyclotomicInt.from_int(2, -1)
 
 
 def test_gauss_sum_trivial_char():
@@ -447,3 +453,14 @@ def test_gauss_product_check_reuses_the_tau_just_made():
         assert gauss_product_check(ctx, chi)
         after = cyclotomic._gauss_sum.cache_info()
         assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, 1)
+
+
+@pytest.mark.parametrize("p, r", [(p, r) for p in (2, 3, 5, 7) for r in (1, 2, 3)]
+                         + [(31, 1), (61, 1), (101, 1)])
+def test_crt_unit_is_one_mod_p_and_minus_one_mod_q_minus_one(p, r):
+    ctx = make_field(p, r)
+    m, n = gauss_order(ctx), ctx.q - 1
+    t = _crt_unit(m, p, n)
+    assert 1 <= t < m
+    assert t % p == 1 and t % n == -1 % n
+    assert math.gcd(t, m) == 1  # a unit, as galois_twist needs

@@ -18,6 +18,7 @@ from epschar.groups import (
     LEVEL_MODULES,
     LEVEL_PROJECTIVES,
     AbelianGroup,
+    Character,
     K0Element,
     cartan_map,
     char_label,
@@ -103,6 +104,11 @@ def test_prime_to_p_part():
     assert red.value((4,)) == chi.value((4,))
     assert chi.prime_to_p_part(3).order == 4
     assert chi.prime_to_p_part(5) == chi
+    # a character of p-power order has a trivial prime-to-p part
+    for shape, p in [((12,), 2), ((12,), 3), ((2, 4), 2), ((3, 9), 3), ((2, 2, 2), 2)]:
+        h = AbelianGroup(shape)
+        for psi in (psi for psi in h.characters() if psi.order == p_part(psi.order, p)):
+            assert psi.prime_to_p_part(p) == h.trivial_character(), (shape, p, psi)
     assert chi.has_prime_to_p_order(5)
     assert not chi.has_prime_to_p_order(2)
 
@@ -411,3 +417,33 @@ def test_e_map_of_seeded_projective_elements_matches_the_fiber_sum():
             _assert_e_map_matches_the_reference(K0Element(group, LEVEL_PROJECTIVES, coeffs, p))
             checked += 1
     assert checked > 100
+
+
+def _every_subgroup(group):
+    """Every subgroup of group, each generated by the generators that found it."""
+    found = {group.subgroup([group.identity])}
+    frontier = list(found)
+    while frontier:
+        h = frontier.pop()
+        for g in group.elements():
+            if not h.contains(g):
+                k = group.subgroup(list(h.generators) + [g])
+                if k not in found:
+                    found.add(k)
+                    frontier.append(k)
+    return found
+
+
+def test_trivial_on_means_every_generator_has_numerator_zero():
+    for shape in [(2, 2, 2), (2, 4), (12,), (3, 9)]:
+        root = AbelianGroup(shape)
+        subgroups = _every_subgroup(root)
+        # characters of the root, and of each proper subgroup through every
+        # vector, so several vectors name one character there
+        domains = [(root, root.characters())] + [
+            (k, [Character(k, v) for v in root.elements()]) for k in subgroups if k.order < root.order]
+        for domain, chars in domains:
+            for h in (h for h in subgroups if h.is_subset_of(domain)):
+                for chi in chars:
+                    expected = all(chi.numerator(g) == 0 for g in h.generators)
+                    assert chi.trivial_on(h) == expected, (shape, h.generators, chi.vector)

@@ -123,3 +123,42 @@ def test_stickelberger_valuation_is_the_sum_of_the_tuple():
                     for d in (-1, e_t):
                         with pytest.raises(DomainError):
                             stickelberger_valuation(datum, d)
+
+
+def _wild_unit_d_from_c(datum, c):
+    """d_from_c as an independent formula: divide c / step by the wild unit
+    q^N / e_w mod e_t, N the least with e_w | q^N, derived afresh here."""
+    q, e = datum.q, datum.e_t
+    step = (q - 1) // e
+    c %= q - 1
+    if c % step != 0:
+        raise DomainError("c = %d is not in the image" % c)
+    if e == 1:
+        return 0
+    n = 0
+    while q**n % datum.e_w:
+        n += 1
+    return (c // step) * pow(q**n // datum.e_w % e, -1, e) % e
+
+
+def _outcome(f, datum, c):
+    try:
+        return f(datum, c)
+    except DomainError:
+        return DomainError
+
+
+def test_d_from_c_matches_the_wild_unit_formula_on_the_wild_grid():
+    # p <= 11, r <= 3, every e_t | q - 1, e_w in {1, p, p^2, p^3} and every c
+    cases = 0
+    for p in (2, 3, 5, 7, 11):
+        for r in (1, 2, 3):
+            q = p**r
+            for e_t in (e for e in range(1, q) if (q - 1) % e == 0):
+                for e_w in (1, p, p**2, p**3):
+                    datum = TameLocalDatum(PrimePower(p, r), e_t, e_w)
+                    for c in range(q - 1):
+                        expected = _outcome(_wild_unit_d_from_c, datum, c)
+                        assert _outcome(d_from_c, datum, c) == expected, (p, r, e_t, e_w, c)
+                        cases += 1
+    assert cases == 115828

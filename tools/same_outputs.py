@@ -11,15 +11,17 @@ on:
   - the same five commands in json format on --input files holding the
     cover_to_json of the constructed corpus, synthetic_corpus(20, seed=1)
     and synthetic_corpus(6, seed=3);
-  - corpus --count 7 --seed 3 in both formats.
+  - corpus --count 7 --seed 3 in both formats;
+  - gauss --p P --r R --char C in both formats, for P in 2, 3, 5, 7,
+    R in 1-3 and eight indices C, 0 and negative ones among them.
 
 Each call's argv (input files named relative to their directory), exit
 status, stdout and stderr go into the digest, and so does the text of
 each input file.  Two checkouts give the same outputs when they print
 the same line:
 
-  python tools/same_outputs.py           # 832 calls, about 5 s
-  python tools/same_outputs.py --quick   # the first cover of each group
+  python tools/same_outputs.py           # 1024 calls, about 6 s
+  python tools/same_outputs.py --quick   # the first cover of each group, no gauss
 
 It prints "calls=N nonzero=K sha256=HEX", K counting calls whose exit
 status was not 0.  Stdlib only.
@@ -40,6 +42,8 @@ from epschar.cli import main as cli_main  # noqa: E402
 from epschar.corpus import constructed_corpus, synthetic_corpus  # noqa: E402
 from epschar.covers import cover_to_json  # noqa: E402
 from workloads import CORPUS_DSL  # noqa: E402
+
+GAUSS_CHARS = (0, 1, 2, 3, 5, 7, -1, 100)
 
 REPORTS = [
     ["verify-all"],
@@ -75,8 +79,12 @@ def _calls(folder, quick):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(cover_to_json(cover))
         argvs += [cmd + ["--input", path, "--format", "json"] for cmd in REPORTS]
-    return argvs + [["corpus", "--count", "7", "--seed", "3", "--format", fmt]
-                    for fmt in ("table", "json")]
+    argvs += [["corpus", "--count", "7", "--seed", "3", "--format", fmt] for fmt in ("table", "json")]
+    if not quick:
+        argvs += [["gauss", "--p", str(p), "--r", str(r), "--char", str(c), "--format", fmt]
+                  for p in (2, 3, 5, 7) for r in (1, 2, 3) for c in GAUSS_CHARS
+                  for fmt in ("table", "json")]
+    return argvs
 
 
 def run(quick=False):
