@@ -189,7 +189,8 @@ class PlaceDatum:
     wild subgroup.  conductor_overrides maps characters of the cover
     group to conductor exponents >= 2; it is only consulted at places
     that are wildly ramified for the character, and only for covers
-    that are not declared weakly ramified.
+    that are not declared weakly ramified.  An override also covers
+    every character with its kernel on inertia (conductors).
     """
 
     label: str
@@ -273,16 +274,35 @@ class PlaceDatum:
             return "tame"
         return "wild"
 
+    @cached_property
+    def conductors(self) -> dict:
+        """conductor_overrides under keys on inertia (Subgroup._key), one per kernel.
+
+        f(chi) depends only on ker(chi|_I) (Serre, Local Fields, VI 2), so an
+        override fills, once, the keys a key mod N of its conjugates, a prime
+        to the order m of chi on inertia.  A clash raises CoverValidationError.
+        """
+        table, n = {}, self.inertia.root.exponent
+        for chi, cd in (self.conductor_overrides or {}).items():
+            key = self.inertia._key(chi.vector)
+            if key not in table:
+                m = n // gcd(n, *key)
+                table.update((tuple(a * x % n for x in key), cd) for a in range(m) if gcd(a, m) == 1)
+            elif table[key] != cd:
+                raise CoverValidationError(
+                    "conductor-overrides", "place %s gives %s conductor %d, but a character with the same "
+                    "kernel on inertia has %d" % (self.label, char_label(chi), cd, table[key]))
+        return table
+
     def conductor(self, chi: Character, weakly_ramified: bool) -> int:
         kind = self.ramification_kind(chi)
         if kind == "unramified":
             return 0
         if kind == "tame":
             return 1
-        if self.conductor_overrides is not None and chi in self.conductor_overrides:
-            return self.conductor_overrides[chi]
-        if weakly_ramified:
-            return 2
+        cd = self.conductors.get(self.inertia._key(chi.vector), 2 if weakly_ramified else None)
+        if cd is not None:
+            return cd
         raise IncompleteDatumError(
             "place %s: conductor of a wildly ramified character is not determined "
             "by the datum; supply conductor_overrides" % self.label
@@ -474,6 +494,7 @@ def validate_cover(cover: CoverDatum) -> None:
                     raise CoverValidationError(
                         "weak-conductor", "%s conductor %d > 2 on a weakly ramified cover" % (where, cd)
                     )
+            q.conductors  # refuses two conductors for one kernel
         if cover.weakly_ramified and q.e_t > 1 and q.e_w > 1:
             raise CoverValidationError(
                 "dichotomy",

@@ -176,24 +176,21 @@ def epsilon_ledgers(cover: CoverDatum, oracle: str = ORACLE_STICKELBERGER):
     """Yield global_epsilon_valuation's ledger for each of cover.characters().
 
     A local term depends on the character only through its restriction
-    to the inertia group, or, where conductors are overridden, through the
-    whole character; each place keeps one table of its terms under that
-    key, built as the characters are reached.  The generator is lazy, so
-    a caller sees every ledger before the first IncompleteDatumError or
-    UnsupportedCoverError.
+    to the inertia group, its conductor included; each place keeps one
+    table of its terms under that key, built as the characters are
+    reached.  The generator is lazy, so a caller sees every ledger before
+    the first IncompleteDatumError or UnsupportedCoverError.
     """
     _check_oracle(oracle)
     base_term = cover.r * (cover.g_base - 1)
-    columns = [(q, {}, q.inertia.restriction_keys(cover.group), q.conductor_overrides is not None)
-               for q in cover.places]
+    columns = [(q, {}, q.inertia.restriction_keys(cover.group)) for q in cover.places]
     for i, chi in enumerate(cover.characters()):
         locals_ = []
-        for q, table, keys, by_character in columns:
+        for q, table, keys in columns:
             key = keys[i]
-            entry = chi if by_character else key
-            lv = table.get(entry)
+            lv = table.get(key)
             if lv is None:
-                lv = table[entry] = local_epsilon(cover, q, chi, oracle)
+                lv = table[key] = local_epsilon(cover, q, chi, oracle)
             locals_.append(lv)
         yield EpsilonLedger(chi, base_term, tuple(locals_))
 

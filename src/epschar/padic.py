@@ -116,12 +116,11 @@ def padic_gauss_valuation(ctx: FieldContext, chi) -> Fraction:
     return _gauss_valuation(ctx, c, ctx.r * (ctx.p - 1) + 2)
 
 
-@lru_cache(maxsize=None)
-def _gauss_valuation(ctx: FieldContext, c: int, lambda_precision: int) -> Fraction:
-    """padic_gauss_valuation at the given lambda precision; raises PrecisionError
-    when the valuation is not below it.  Errors are not cached."""
+def _gauss_rows(ctx: FieldContext, c: int, precision: int) -> list:
+    """The lambda^j coefficients of tau(omega^(-c)) for j < p-1, after
+    lambda^(p-1) is rewritten through E(lambda): row j holds the r
+    coordinates of the lambda^j coefficient, correct mod p^precision."""
     p, n = ctx.p, ctx.q - 1
-    precision = lambda_precision // (p - 1) + 2
     by_trace, teich_pow, eisenstein, width = _gauss_tables(ctx, precision)
     shifts, mask = range(0, width * ctx.r, width), (1 << width) - 1
     # tau = sum_t B_t (1 + lambda)^t, B_t the packed omega^(-c k) of trace t.
@@ -136,7 +135,16 @@ def _gauss_valuation(ctx: FieldContext, c: int, lambda_precision: int) -> Fracti
     rows = [[(a >> (j * wide)) & mask for a in acc] for j in range(p)]
     # only t = p-1 reaches lambda^(p-1) = -sum_(j<p-1) C(p, j+1) lambda^j
     top = rows.pop()
-    rows = [[v - e * t for v, t in zip(row, top)] for row, e in zip(rows, eisenstein)]
+    return [[v - e * t for v, t in zip(row, top)] for row, e in zip(rows, eisenstein)]
+
+
+@lru_cache(maxsize=None)
+def _gauss_valuation(ctx: FieldContext, c: int, lambda_precision: int) -> Fraction:
+    """padic_gauss_valuation at the given lambda precision; raises PrecisionError
+    when the valuation is not below it.  Errors are not cached."""
+    p = ctx.p
+    precision = lambda_precision // (p - 1) + 2
+    rows = _gauss_rows(ctx, c, precision)
     # a coordinate of v_p = k in slot j is lambda^j p^k times a unit, of
     # valuation j + k(p-1); an all-zero slot 0 reads the cap (p-1)M
     val = min(

@@ -25,7 +25,7 @@ The four checks:
 from dataclasses import dataclass, replace
 from math import gcd
 
-from .errors import IncompleteDatumError, NotWeaklyRamifiedError
+from .errors import CapacityError, IncompleteDatumError, NotWeaklyRamifiedError
 from .groups import (
     K0Element,
     char_label,
@@ -46,6 +46,12 @@ from .euler import (
     psi_structure,
     wild_induction_term,
 )
+
+# check_invariance reruns every route on the datum and on each variant, for
+# each of the |G| characters at each place and once more place-free: that is
+# (variants + 1) |G| (places + 2) units of 1.0-1.4 us on a 2 vCPU VM, so the
+# largest admitted shapes take about 10 s (README, "Capacity probe").
+MAX_INVARIANCE_WORK = 8 * 10**6
 
 
 @dataclass(frozen=True)
@@ -290,22 +296,38 @@ def _with_places(cover: CoverDatum, places) -> CoverDatum:
     return replace(cover, places=tuple(places))
 
 
-def _invariance_variants(cover: CoverDatum):
-    """Named variants of the datum that must report identical quantities."""
-    variants = []
-    for idx, q in enumerate(cover.places):
-        if q.e_t <= 1 or q.degree * q.f <= 1:
-            continue
-        for j in range(1, q.degree * q.f):
-            if pow(cover.p, j, q.e_t) == 1:
-                continue
-            places = list(cover.places)
-            places[idx] = q.twisted(j)
-            variants.append(("twist %s p^%d" % (q.label, j), _with_places(cover, places)))
+def _invariance_plan(cover: CoverDatum):
+    """The (place index, j) of each Frobenius twist check_invariance makes,
+    and whether it re-chooses the points; CapacityError past
+    MAX_INVARIANCE_WORK, before any variant is built.
+
+    A twist by p^j with p^j = 1 mod e_t leaves the datum as it is.
+    """
+    twists = [(idx, j) for idx, q in enumerate(cover.places) if q.e_t > 1
+              for j in range(1, q.degree * q.f) if pow(cover.p, j, q.e_t) != 1]
     # re-choice of the point over every place at once: for an abelian
     # group conjugation is trivial, so a different point only composes
     # the residue embedding with a Frobenius power
-    if any(q.e_t > 1 and q.degree * q.f > 1 for q in cover.places):
+    rechoice = any(q.e_t > 1 and q.degree * q.f > 1 for q in cover.places)
+    variants, order, places = len(twists) + rechoice + 1, cover.group.order, len(cover.places)
+    if (variants + 1) * order * (places + 2) > MAX_INVARIANCE_WORK:
+        raise CapacityError(
+            "check_invariance would rerun every route on %d variants of a group of order %d with %d "
+            "place(s); (variants + 1) |G| (places + 2) <= %d is supported"
+            % (variants, order, places, MAX_INVARIANCE_WORK))
+    return twists, rechoice
+
+
+def _invariance_variants(cover: CoverDatum):
+    """Named variants of the datum that must report identical quantities."""
+    twists, rechoice = _invariance_plan(cover)
+    variants = []
+    for idx, j in twists:
+        q = cover.places[idx]
+        places = list(cover.places)
+        places[idx] = q.twisted(j)
+        variants.append(("twist %s p^%d" % (q.label, j), _with_places(cover, places)))
+    if rechoice:
         places = [q.twisted(i + 1) for i, q in enumerate(cover.places)]
         variants.append(("point re-choice", _with_places(cover, places)))
     regen = [_regenerated_place(cover.group, q) for q in cover.places]
@@ -371,6 +393,7 @@ def _cyclic_subgroups(group):
 
 def full_verification(cover: CoverDatum, oracle: str = ORACLE_PADIC):
     """Run every applicable check on one datum, returning the reports."""
+    _invariance_plan(cover)  # an oversized invariance check is refused before any check runs
     reports = []
     if cover.weakly_ramified:
         reports.append(check_strong(cover, oracle=oracle))

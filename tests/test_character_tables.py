@@ -40,13 +40,12 @@ def _covers():
 
 
 def _overridden_cover():
-    """Z/6 over F_3 whose wild characters share restrictions to inertia in
-    pairs but carry different conductors: a ledger table keyed by the
-    restriction alone would give chi(4) the term of chi(1)."""
+    """Z/6 over F_3 with a tame place and a wild place whose conductors
+    come from overrides: chi(1) and chi(4) share the wild place's term."""
     group = AbelianGroup((6,))
     full = group.full_subgroup()
     tame, wild = group.subgroup([(3,)]), group.subgroup([(2,)])
-    conductors = {group.character((a,)): cd for a, cd in ((1, 3), (2, 3), (4, 4), (5, 4))}
+    conductors = {group.character((a,)): 3 for a in (1, 2, 4, 5)}
     places = [
         dict(label="t", degree=2, inertia=tame, decomposition=full,
              tame_char=group.character((3,)).restrict(tame)),

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from epschar import cli, errors
+from epschar import cli, errors, verify
 from epschar.cli import cover_from_dsl, main
 from epschar.covers import cover_to_json, synthetic_cover
 from epschar.errors import InvalidInputError
@@ -93,6 +93,19 @@ def test_epsilon_wild_conductor_above_two(tmp_path, capsys):
         ]
         assert ledgers[name]["totals"] == {"stickelberger": "1/2", "padic": "1/2"}
     assert ledgers["chi(0)"]["totals"] == {"stickelberger": "-1", "padic": "-1"}
+
+
+def test_epsilon_refuses_two_conductors_on_one_kernel(tmp_path, capsys):
+    # chi and chi^2 of Z/3 have one kernel on inertia, so no extension gives
+    # them the conductors 3 and 4
+    body = {"kind": "synthetic", "group": [3], "p": 3, "r": 1, "g_base": 0, "weakly_ramified": False,
+            "places": [{"label": "q", "degree": 1, "inertia": [[1]], "decomposition": [[1]],
+                        "tame_char": [[[1], [0, 1]]], "conductors": [[[1], 3], [[2], 4]]}]}
+    path = tmp_path / "conjugates.json"
+    path.write_text(json.dumps(body))
+    code, out, err = run(capsys, "epsilon", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("input error: conductor-overrides")
 
 
 def test_epsilon_refuses_a_character_both_wild_and_tame(tmp_path, capsys):
@@ -308,6 +321,43 @@ def test_oversized_group_is_refused_fast(tmp_path, capsys):
     code, _, err = run(capsys, "verify-all", "--input", str(path))
     assert time.perf_counter() - start < 1.0
     assert code == 3 and "unsupported datum" in err
+
+
+def _frobenius_twisted_json(tmp_path, k, degree):
+    """Z/(3 2^k) over F_2 with one place of the given degree, inertia of
+    order 3 and the whole group as decomposition group: check_invariance
+    twists it by each odd j < degree 2^k."""
+    group = AbelianGroup((3 * 2**k,))
+    inertia = group.subgroup([(2**k,)])
+    q = dict(label="q", degree=degree, inertia=inertia, decomposition=group.full_subgroup(),
+             tame_char=cyclic_character(inertia, (2**k,), 1))
+    path = tmp_path / "twisted.json"
+    path.write_text(cover_to_json(synthetic_cover(group, 2, 1, 0, [q])))
+    return path
+
+
+def test_oversized_invariance_check_is_refused_fast(tmp_path, capsys):
+    # |G| = 24576 <= MAX_GROUP_ORDER, but 49152 twists would take about an hour
+    path = _frobenius_twisted_json(tmp_path, 13, 12)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify-all", "--input", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "" and "unsupported datum" in err
+    assert "49154 variants of a group of order 24576 with 1 place(s)" in err
+
+
+def test_invariance_bound_admits_the_work_it_names(tmp_path, capsys, monkeypatch):
+    # Z/12 with one degree-2 place: the twists j = 1, 3, 5, 7, the point
+    # re-choice and the regenerated subgroups make (6 + 1) * 12 * (1 + 2) = 252 units
+    path = _frobenius_twisted_json(tmp_path, 2, 2)
+    monkeypatch.setattr(verify, "MAX_INVARIANCE_WORK", 252)
+    code, out, err = run(capsys, "verify-all", "--input", str(path), "--format", "json")
+    assert code == 0 and err == ""
+    invariance = next(r for r in json.loads(out)["reports"] if r["kind"] == "invariance")
+    assert len(invariance["rows"]) == 6
+    monkeypatch.setattr(verify, "MAX_INVARIANCE_WORK", 251)
+    code, out, err = run(capsys, "verify-all", "--input", str(path))
+    assert code == 3 and out == "" and "6 variants of a group of order 12" in err
 
 
 def test_huge_synthetic_index_and_count_are_refused_fast(capsys):

@@ -140,6 +140,15 @@ def _set_first_conductor(value):
     return edit
 
 
+def _set_conductors(values):
+    """Give each character chi(a) of a cyclic group the conductor values[a]."""
+    def edit(obj):
+        place = next(q for q in obj["places"] if "conductors" in q)
+        for entry in place["conductors"]:
+            entry[1] = values.get(entry[0][0], entry[1])
+    return edit
+
+
 # a float or a bool where an int is stored, or a non-bool weakly_ramified
 NON_INTEGER_BODIES = [
     _with(BASES[0], lambda obj: obj.update(r=1.0)),
@@ -166,8 +175,10 @@ NON_INTEGER_BODIES = [
 
 
 # a repeated key (the last one would win), a key the kind does not read,
-# a place label that is not a string, and a character given two conductors
-# ([4] is chi(1) again in Z/3)
+# a place label that is not a string, a character given two conductors
+# ([4] is chi(1) again in Z/3), and two characters with one kernel on
+# inertia given different conductors (chi(1) and chi(2) of Z/3; chi(1)
+# and chi(4) of Z/6 with inertia <2>)
 _KUMMER = '{"kind":"kummer","p":5,"n":2,"divisor":[[[0,1],1],[[4,1],1],["inf",-2]]%s}'
 REFUSED_BODIES = [
     _KUMMER % ',"p":7',
@@ -182,6 +193,10 @@ REFUSED_BODIES = [
     '{"kind":"synthetic","group":[3],"p":3,"r":1,"g_base":0,"weakly_ramified":false,'
     '"places":[{"label":"a","degree":1,"inertia":[[1]],"decomposition":[[1]],'
     '"tame_char":[[[1],[0,1]]],"conductors":[[[1],4],[[4],3],[[2],3]]}]}',
+    '{"kind":"synthetic","group":[3],"p":3,"r":1,"g_base":0,"weakly_ramified":false,'
+    '"places":[{"label":"a","degree":1,"inertia":[[1]],"decomposition":[[1]],'
+    '"tame_char":[[[1],[0,1]]],"conductors":[[[1],3],[[2],4]]}]}',
+    json.dumps(_with(BASES[1], _set_conductors({4: 4, 5: 4}))),
 ]
 
 

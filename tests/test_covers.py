@@ -211,13 +211,36 @@ def test_conductor_needs_override_when_not_weak():
         conductor_overrides={chi: 3},
     )
     assert q2.conductor(chi, False) == 3
-    with pytest.raises(IncompleteDatumError):
-        q2.conductor(chi**2, False)  # override covers chi only
+    assert q2.conductor(chi**2, False) == 3  # chi^2 has chi's kernel on inertia
     # an override must not contradict a declared weakly ramified cover
     with pytest.raises(CoverValidationError):
         synthetic_cover(cov.group, 3, 1, 0, [q2], weakly_ramified=True)
     cov2 = synthetic_cover(cov.group, 3, 1, 0, [q2], weakly_ramified=False)
     assert cov2.places[0].conductor(chi, False) == 3
+
+
+def test_an_override_covers_every_character_with_its_kernel_on_inertia():
+    # Z/6 over F_3 with wild inertia <2>: chi(1), chi(2), chi(4) and chi(5)
+    # restrict to the two faithful characters of Z/3, which share a kernel
+    group = AbelianGroup((6,))
+    full, wild = group.full_subgroup(), group.subgroup([(2,)])
+    chi = group.character((1,))
+
+    def place(overrides):
+        return dict(label="q", degree=1, inertia=wild, decomposition=full,
+                    tame_char=wild.trivial_character(), conductor_overrides=overrides)
+
+    cov = synthetic_cover(group, 3, 1, 0, [place({chi: 3})], weakly_ramified=False)
+    (q,) = cov.places
+    assert [q.conductor(psi, False) for psi in cov.characters()] == [0, 3, 3, 0, 3, 3]
+    assert len(q.conductors) == 2  # the keys of chi and chi^2 on inertia
+    # chi^4 agrees with chi on inertia, and chi^5 with chi^2
+    for other in (chi**4, chi**5):
+        with pytest.raises(CoverValidationError) as info:
+            synthetic_cover(group, 3, 1, 0, [place({chi: 3, other: 4})], weakly_ramified=False)
+        assert info.value.invariant == "conductor-overrides"
+    # the same conductor on a character with chi^2's kernel is accepted
+    synthetic_cover(group, 3, 1, 0, [place({chi: 3, chi**5: 3})], weakly_ramified=False)
 
 
 def test_twisted_place():
@@ -419,7 +442,7 @@ def test_json_round_trip():
     group = AbelianGroup((3, 3))
     wild = group.subgroup([(0, 1)])
     chi = group.character((1, 2))
-    overrides = {chi: 3, chi**2: 4}
+    overrides = {chi: 3, chi**2: 3}
     q = dict(label="w", degree=2, inertia=wild, decomposition=wild,
              tame_char=wild.trivial_character(), conductor_overrides=overrides)
     covers.append(synthetic_cover(group, 3, 1, 0, [q], weakly_ramified=False))

@@ -39,11 +39,11 @@ from epschar.stickelberger import c_from_d, s_tuple
 
 def _overridden_cover():
     """Z/6 over F_3 whose wild characters share restrictions to inertia in
-    pairs but carry conductors 3 and 4."""
+    pairs and carry conductor 3."""
     group = AbelianGroup((6,))
     full = group.full_subgroup()
     tame, wild = group.subgroup([(3,)]), group.subgroup([(2,)])
-    conductors = {group.character((a,)): cd for a, cd in ((1, 3), (2, 3), (4, 4), (5, 4))}
+    conductors = {group.character((a,)): 3 for a in (1, 2, 4, 5)}
     places = [
         dict(label="t", degree=2, inertia=tame, decomposition=full,
              tame_char=group.character((3,)).restrict(tame)),

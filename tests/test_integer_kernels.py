@@ -39,12 +39,12 @@ from epschar.groups import AbelianGroup, Character, Subgroup, joint
 
 def _overridden_cover():
     """Z/6 over F_3 with a tame place and a wild place whose wild
-    characters share restrictions to inertia in pairs but carry
-    conductors 3 and 4."""
+    characters share restrictions to inertia in pairs and carry
+    conductor 3."""
     group = AbelianGroup((6,))
     full = group.full_subgroup()
     tame, wild = group.subgroup([(3,)]), group.subgroup([(2,)])
-    conductors = {group.character((a,)): cd for a, cd in ((1, 3), (2, 3), (4, 4), (5, 4))}
+    conductors = {group.character((a,)): 3 for a in (1, 2, 4, 5)}
     places = [
         dict(label="t", degree=2, inertia=tame, decomposition=full,
              tame_char=group.character((3,)).restrict(tame)),
@@ -242,9 +242,9 @@ def test_ledger_totals_match_the_fraction_sum():
             pass
     assert ledgers > 1000
     # the overridden datum: r(g - 1) = -1, 1 at the tame place for odd a,
-    # and deg cond / 2 = 3 or 4 at the wild place for a prime to 3
+    # and deg cond / 2 = 3 at the wild place for a prime to 3
     totals = [ledger.total for ledger in epsilon_ledgers(_overridden_cover())]
-    assert totals == [-1, 3, 2, 0, 3, 4]
+    assert totals == [-1, 3, 2, 0, 2, 3]
 
 
 def _kind_by_trivial_on(q, chi):

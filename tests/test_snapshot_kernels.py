@@ -312,7 +312,7 @@ def test_restriction_key_memos_stay_within_the_root_order(monkeypatch):
 
 def _term_key(place, chi):
     """What a ledger table keys chi's term at place by."""
-    return chi if place.conductor_overrides is not None else place.inertia._key(chi.vector)
+    return place.inertia._key(chi.vector)
 
 
 def _spy_on_the_ledger_kernel(monkeypatch):

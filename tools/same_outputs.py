@@ -11,6 +11,10 @@ on:
   - the same five commands in json format on --input files holding the
     cover_to_json of the constructed corpus, synthetic_corpus(20, seed=1)
     and synthetic_corpus(6, seed=3);
+  - the same five commands in json format on --input files holding three
+    data with conductor overrides: Z/3 over F_3 with conductor 3, Z/6 with
+    a tame place and a wild one, and Z/6 with all of it as inertia, whose
+    characters nontrivial on both parts exit 3;
   - corpus --count 7 --seed 3 in both formats;
   - gauss --p P --r R --char C in both formats, for P in 2, 3, 5, 7,
     R in 1-3 and eight indices C, 0 and negative ones among them.
@@ -20,7 +24,7 @@ status, stdout and stderr go into the digest, and so does the text of
 each input file.  Two checkouts give the same outputs when they print
 the same line:
 
-  python tools/same_outputs.py           # 1024 calls, about 6 s
+  python tools/same_outputs.py           # 1039 calls, about 6 s
   python tools/same_outputs.py --quick   # the first cover of each group, no gauss
 
 It prints "calls=N nonzero=K sha256=HEX", K counting calls whose exit
@@ -40,7 +44,8 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 from epschar.cli import main as cli_main  # noqa: E402
 from epschar.corpus import constructed_corpus, synthetic_corpus  # noqa: E402
-from epschar.covers import cover_to_json  # noqa: E402
+from epschar.covers import cover_to_json, synthetic_cover  # noqa: E402
+from epschar.groups import AbelianGroup  # noqa: E402
 from workloads import CORPUS_DSL  # noqa: E402
 
 GAUSS_CHARS = (0, 1, 2, 3, 5, 7, -1, 100)
@@ -65,6 +70,27 @@ def _call(argv):
     return status, out.getvalue(), err.getvalue()
 
 
+def _overridden_covers():
+    """Three data that are not weakly ramified, all over F_3 with conductor 3."""
+    z3, z6 = AbelianGroup((3,)), AbelianGroup((6,))
+    full3, full6 = z3.full_subgroup(), z6.full_subgroup()
+    tame, wild = z6.subgroup([(3,)]), z6.subgroup([(2,)])
+    on_z3 = {z3.character((a,)): 3 for a in (1, 2)}
+    on_z6 = {z6.character((a,)): 3 for a in (1, 2, 4, 5)}
+    places = [
+        [dict(label="q", degree=1, inertia=full3, decomposition=full3,
+              tame_char=full3.trivial_character(), conductor_overrides=on_z3)],
+        [dict(label="t", degree=2, inertia=tame, decomposition=full6,
+              tame_char=z6.character((3,)).restrict(tame)),
+         dict(label="q", degree=2, inertia=wild, decomposition=full6,
+              tame_char=wild.trivial_character(), conductor_overrides=on_z6)],
+        [dict(label="q", degree=1, inertia=full6, decomposition=full6,
+              tame_char=z6.character((3,)).restrict(full6), conductor_overrides=on_z6)],
+    ]
+    return [synthetic_cover(group, 3, 1, 0, qs, weakly_ramified=False)
+            for group, qs in zip((z3, z6, z6), places)]
+
+
 def _calls(folder, quick):
     """Every argv, in run order; writes the --input files into folder."""
     specs = CORPUS_DSL + ["mixed"] + [
@@ -74,8 +100,11 @@ def _calls(folder, quick):
         specs, covers = [CORPUS_DSL[0], "mixed", "synthetic:seed=1,index=0"], covers[:1]
     argvs = [cmd + ["--builtin", spec, "--format", fmt]
              for spec in specs for cmd in REPORTS for fmt in ("table", "json")]
-    for i, cover in enumerate(covers):
-        path = os.path.join(folder, "cover%02d.json" % i)
+    named = [("cover%02d.json" % i, cover) for i, cover in enumerate(covers)]
+    if not quick:
+        named += [("overridden%d.json" % i, cover) for i, cover in enumerate(_overridden_covers())]
+    for name, cover in named:
+        path = os.path.join(folder, name)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(cover_to_json(cover))
         argvs += [cmd + ["--input", path, "--format", "json"] for cmd in REPORTS]
