@@ -19,7 +19,6 @@ from epschar.fields import PrimePower
 from epschar.stickelberger import (
     TameLocalDatum,
     c_from_d,
-    composition_exponent,
     d_from_c,
     digit_sum_valuation,
     minimal_power_clearing_wild,
@@ -34,7 +33,7 @@ def main():
     q, p = datum.q, datum.p
     print("datum: q = %d, e_t = %d, e_w = %d" % (q, datum.e_t, datum.e_w))
     print("minimal N with e_w | q^N:  N = %d" % minimal_power_clearing_wild(datum))
-    print("composition exponent:      %d" % composition_exponent(datum))
+    print("composition exponent:      %d" % datum.composition_exponent)
     print()
     print("%3s %4s %18s %12s %12s" % ("d", "c", "tuple", "sum", "digits"))
     for d in range(datum.e_t):

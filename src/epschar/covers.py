@@ -441,6 +441,7 @@ def validate_cover(cover: CoverDatum) -> None:
         _check_type(label, str, "a place label")
     if len(set(labels)) != len(labels):
         raise CoverValidationError("labels-distinct", "duplicate place labels")
+    factors = group.root.invariant_factors
     for q in cover.places:
         where = "place %s" % q.label
         if q.p != cover.p:
@@ -461,6 +462,15 @@ def validate_cover(cover: CoverDatum) -> None:
             )
         if q.e <= 1:
             raise CoverValidationError("place-ramified", "%s is unramified and must not be stored" % where)
+        # D/I is the Galois group of the residue extension: cyclic of order f
+        # exactly when, for each prime l | f, some g in D has g^(f/l) outside I
+        for ell in factorize(q.f):
+            k = q.f // ell
+            if all(q.inertia.contains(tuple(k * x % n for x, n in zip(g, factors)))
+                   for g in q.decomposition.generators):
+                raise CoverValidationError(
+                    "decomposition-cyclic", "%s decomposition mod inertia is not cyclic" % where
+                )
         if q.e_t > 1 and pow(cover.p, q.degree, q.e_t) != 1:
             raise CoverValidationError(
                 "tame-roots-of-unity",
@@ -500,6 +510,13 @@ def validate_cover(cover: CoverDatum) -> None:
                 "dichotomy",
                 "%s has e_t = %d and e_w = %d; weak ramification forces one of them to be 1"
                 % (where, q.e_t, q.e_w),
+            )
+        # G_1/G_2 embeds in the residue field (Serre, Local Fields, IV 2)
+        if cover.weakly_ramified and any(q.wild_subgroup.element_order(g) != cover.p
+                                         for g in q.wild_subgroup.generators):
+            raise CoverValidationError(
+                "weak-wild-elementary", "%s wild inertia of a weakly ramified cover is not "
+                "elementary abelian" % where
             )
     if cover.g_cover is not None:
         if cover.r != 1:
@@ -793,9 +810,8 @@ def subcover_data(cover: CoverDatum, sub) -> CoverDatum:
         decomposition = intersection(h, q.decomposition)
         # [G : H D_q], with |H D_q| = |H| |D_q| / |H n D_q|
         count = cover.group.order * decomposition.order // (h.order * q.decomposition.order)
+        # (H n D_q)/(H n I_q) embeds in D_q/I_q, so its order divides f_q
         deg = q.degree * q.f * inertia.order // decomposition.order
-        if q.degree * q.f * inertia.order % decomposition.order != 0:
-            raise CoverValidationError("subcover-degree", "degree above %s not integral" % q.label)
         if inertia.order == 1:
             continue  # unramified in X -> X/H
         xi = q.tame_char.restrict(inertia)

@@ -211,12 +211,6 @@ class CyclotomicInt:
         # degree 0 is already reduced, as phi(m) >= 1
         return CyclotomicInt(m, (n,) + (0,) * (euler_phi(m) - 1))
 
-    @staticmethod
-    def zeta(m: int, k: int = 1) -> "CyclotomicInt":
-        vec = [0] * m
-        vec[k % m] = 1
-        return CyclotomicInt.from_exponent_vector(m, vec)
-
     # -- ring operations ------------------------------------------------
 
     def _match(self, other):
@@ -301,9 +295,6 @@ class MultChar:
     @property
     def is_trivial(self) -> bool:
         return self.index == 0
-
-    def inverse(self) -> "MultChar":
-        return MultChar(self.ctx, -self.index)
 
     def value_on_minus_one(self) -> int:
         """chi(-1) as +1 or -1."""

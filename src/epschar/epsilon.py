@@ -100,12 +100,8 @@ class EpsilonLedger:
         num, den = self._sum()
         return exact_ratio(-num, den)
 
-    @property
-    def char_name(self) -> str:
-        return char_label(self.character)
-
     def describe(self) -> str:
-        parts = ["%s: r(g-1) = %s" % (self.char_name, self.base_term)]
+        parts = ["%s: r(g-1) = %s" % (char_label(self.character), self.base_term)]
         for lv in self.locals:
             parts.append("%s[%s] %s" % (lv.place, lv.kind, lv.valuation))
         return "; ".join(parts) + " => " + str(self.total)

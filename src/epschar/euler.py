@@ -72,27 +72,17 @@ class DivisorSpec:
         self.values = values
 
     @staticmethod
-    def zero(cover: CoverDatum) -> "DivisorSpec":
-        return DivisorSpec(cover, {})
-
-    @staticmethod
     def wild_canonical(cover: CoverDatum) -> "DivisorSpec":
         """The divisor with -1 at every point above a wild place, 0 elsewhere."""
         return DivisorSpec(cover, {q.label: -1 for q in cover.wild_places()})
 
-    def value(self, place) -> int:
-        label = place.label if isinstance(place, PlaceDatum) else place
-        return self.values.get(label, 0)
+    def value(self, place: PlaceDatum) -> int:
+        return self.values.get(place.label, 0)
 
-    def degree_bar(self):
-        """Degree of the divisor upstairs: n deg(q)/e_q points above q."""
-        total = Fraction(0)
+    def degree_bar(self) -> int:
+        """Degree of the divisor upstairs: n deg(q)/e_q points above q, e_q | n."""
         n = self.cover.group.order
-        for q in self.cover.places:
-            total += Fraction(self.value(q) * n * q.degree, q.e)
-        if total.denominator != 1:
-            raise IntegralityError("divisor degree %s is not an integer" % total)
-        return int(total)
+        return sum(self.value(q) * (n // q.e) * q.degree for q in self.cover.places)
 
     def __repr__(self):
         return "DivisorSpec(%r)" % (self.values,)
@@ -290,7 +280,7 @@ def euler_char_structure_sheaf(cover: CoverDatum) -> K0Element:
     character of the local group at that point.
     """
     psi = psi_structure(cover, DivisorSpec.wild_canonical(cover))
-    return cartan_map(psi) + decomposition_map(wild_induction_term(cover), cover.p)
+    return cartan_map(psi) + decomposition_map(wild_induction_term(cover))
 
 
 def wild_induction_term(cover: CoverDatum) -> K0Element:

@@ -165,7 +165,6 @@ class FieldContext:
         self.r = r
         self.q = p**r
         self.modulus = self._find_modulus()
-        self.zero = (0,) * r
         self.one = poly_pad([1], r)
         self.generator = self._find_generator()
 
@@ -199,9 +198,6 @@ class FieldContext:
             coeffs.append(enc % self.p)
             enc //= self.p
         return tuple(coeffs)
-
-    def elements(self):
-        return [self.element_from_int(e) for e in range(self.q)]
 
     def check(self, x: FqElem):
         if len(x) != self.r or any(not (0 <= c < self.p) for c in x):

@@ -310,10 +310,6 @@ class Character:
         n = self.domain.root.exponent
         return n // gcd(n, *self._key)
 
-    @property
-    def is_trivial(self) -> bool:
-        return not any(self._key)
-
     def __mul__(self, other):
         if self.domain != other.domain:
             raise GroupMismatchError("characters of different groups")
@@ -488,14 +484,13 @@ def modular_basis(group, p):
 # -- the cde triangle ---------------------------------------------------
 
 
-def decomposition_map(x: K0Element, p=None) -> K0Element:
-    """char0 -> modules: a character maps to its prime-to-p part."""
+def decomposition_map(x: K0Element) -> K0Element:
+    """char0 -> modules: a character maps to its prime-to-p part at x.p."""
     if x.level != LEVEL_CHAR0:
         raise LevelError("decomposition_map starts at level char0")
-    p = p if p is not None else x.p
-    if p is None:
+    if x.p is None:
         raise LevelError("decomposition_map needs the prime p")
-    group = x.group
+    group, p = x.group, x.p
     reductions = _prime_to_p_parts(group, p)
     out = {}
     for chi, c in x.coeffs.items():

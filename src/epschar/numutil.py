@@ -37,10 +37,6 @@ def factorize(n: int) -> dict:
     return out
 
 
-def prime_divisors(n: int):
-    return sorted(factorize(n))
-
-
 def p_part(n: int, p: int) -> int:
     """Largest power of p dividing n."""
     out = 1

@@ -53,7 +53,7 @@ class TameLocalDatum:
 
     @cached_property
     def composition_exponent(self) -> int:
-        """composition_exponent of this datum, computed once and kept on it."""
+        """Exponent in Z/(q-1) by which the composed local map raises units."""
         q = self.q
         n = minimal_power_clearing_wild(self)
         return (((q - 1) // self.e_t) * (q**n // self.e_w)) % (q - 1)
@@ -85,11 +85,6 @@ def minimal_power_clearing_wild(datum: TameLocalDatum) -> int:
         qn *= datum.q
         n += 1
     return n
-
-
-def composition_exponent(datum: TameLocalDatum) -> int:
-    """Exponent in Z/(q-1) by which the composed local map raises units."""
-    return datum.composition_exponent
 
 
 def c_from_d(datum: TameLocalDatum, d: int) -> int:

@@ -60,7 +60,7 @@ def _divisors(cover):
     a seeded divisor with positive tame coefficients (so l > 0 somewhere)."""
     out = [DivisorSpec.wild_canonical(cover)]
     if not cover.wild_places():
-        out.append(DivisorSpec.zero(cover))
+        out.append(DivisorSpec(cover))
     rng = random.Random(cover.summary())
     out.append(
         DivisorSpec(

@@ -108,6 +108,26 @@ def test_epsilon_refuses_two_conductors_on_one_kernel(tmp_path, capsys):
     assert err.startswith("input error: conductor-overrides")
 
 
+@pytest.mark.parametrize("invariant, body", [
+    # D/I = (Z/2)^2 at a: no residue extension has it as Galois group
+    ("decomposition-cyclic",
+     '{"kind":"synthetic","group":[2,2,2],"p":3,"r":1,"g_base":0,"weakly_ramified":true,'
+     '"places":[{"label":"a","degree":2,"inertia":[[1,0,0]],"decomposition":[[1,0,0],[0,1,0],[0,0,1]],'
+     '"tame_char":[[[1,0,0],[1,2]]]},{"label":"b","degree":2,"inertia":[[1,0,0]],"decomposition":[[1,0,0]],'
+     '"tame_char":[[[1,0,0],[1,2]]]}]}'),
+    # weak wild inertia Z/4 over F_2: G_1/G_2 must embed in the residue field
+    ("weak-wild-elementary",
+     '{"kind":"synthetic","group":[4],"p":2,"r":1,"g_base":0,"weakly_ramified":true,'
+     '"places":[{"label":"a","degree":1,"inertia":[[1]],"decomposition":[[1]],"tame_char":[[[1],[0,1]]]}]}'),
+], ids=["decomposition-cyclic", "weak-wild-elementary"])
+def test_verify_all_refuses_local_groups_no_curve_has(invariant, body, tmp_path, capsys):
+    path = tmp_path / "cover.json"
+    path.write_text(body)
+    code, out, err = run(capsys, "verify-all", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("input error: %s:" % invariant)
+
+
 def test_epsilon_refuses_a_character_both_wild_and_tame(tmp_path, capsys):
     # Z/6 over F_3 with all of it as inertia: chi(1) and chi(5) are
     # nontrivial on the wild Z/3 and on the tame Z/2

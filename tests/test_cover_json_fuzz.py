@@ -197,6 +197,14 @@ REFUSED_BODIES = [
     '"places":[{"label":"a","degree":1,"inertia":[[1]],"decomposition":[[1]],'
     '"tame_char":[[[1],[0,1]]],"conductors":[[[1],3],[[2],4]]}]}',
     json.dumps(_with(BASES[1], _set_conductors({4: 4, 5: 4}))),
+    # D/I = (Z/2)^2 at a is not cyclic
+    '{"kind":"synthetic","group":[2,2,2],"p":3,"r":1,"g_base":0,"weakly_ramified":true,'
+    '"places":[{"label":"a","degree":2,"inertia":[[1,0,0]],"decomposition":[[1,0,0],[0,1,0],[0,0,1]],'
+    '"tame_char":[[[1,0,0],[1,2]]]},{"label":"b","degree":2,"inertia":[[1,0,0]],"decomposition":[[1,0,0]],'
+    '"tame_char":[[[1,0,0],[1,2]]]}]}',
+    # weak wild inertia Z/4 over F_2 is not elementary abelian
+    '{"kind":"synthetic","group":[4],"p":2,"r":1,"g_base":0,"weakly_ramified":true,'
+    '"places":[{"label":"a","degree":1,"inertia":[[1]],"decomposition":[[1]],"tame_char":[[[1],[0,1]]]}]}',
 ]
 
 

@@ -27,7 +27,7 @@ from epschar.euler import (
     psi_structure,
     wild_induction_term,
 )
-from epschar.groups import AbelianGroup, K0Element, decomposition_map, e_map, pairing, restrict
+from epschar.groups import AbelianGroup, K0Element, char_label, decomposition_map, e_map, pairing, restrict
 from epschar.verify import _cyclic_subgroups, check_strong, check_weak, full_verification
 
 
@@ -80,7 +80,7 @@ def test_ledger_terms_and_totals_follow_the_contract():
     for cover in covers:
         for oracle in ORACLES:
             for ledger in epsilon_ledgers(cover, oracle):
-                where = (cover.summary(), oracle, ledger.char_name)
+                where = (cover.summary(), oracle, char_label(ledger.character))
                 tally(ledger.total, where)
                 tally(ledger.negated_total, where)
                 assert ledger.negated_total == -ledger.total, where

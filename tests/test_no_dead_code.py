@@ -7,11 +7,12 @@ attribute of an epschar module (covers.kummer_cover); a method or
 property only through an attribute access on something other than an
 epschar module.  So a local variable does not count for a method, and a
 method or attribute does not count for a module-level def of the same
-name.  An attribute name that several classes define (Subgroup.elements,
-FieldContext.elements) cannot tell them apart, so such a method counts
-as read only when SHARED_READERS quotes a line of program code that
-reads it.  Words in comments and docstrings do not count.  Dunder
-methods are called by the language and are not checked.
+name.  An attribute name that several classes define (Subgroup.mul,
+FieldContext.mul) cannot tell them apart, so such a method counts as
+read only when SHARED_READERS quotes a line of program code that reads
+it.  Words in comments and docstrings do not count.  Dunder methods are
+called by the language and are not checked.  ALLOWED holds the
+definitions only tests read, and a test must read each of them.
 """
 
 import ast
@@ -29,12 +30,6 @@ ALLOWED = {
     "K0Element.regular": "[k[G]] is the reference term of the tabled psi in test_character_tables",
     "DivisorSpec.degree_bar": "deg(D-bar) in test_euler's Riemann-Roch check of the multiplicities",
     "g_term": "the per-embedding term test_euler sums to check the closed route's _closed_numerator",
-    "CyclotomicInt.zeta": "the generator test_cyclotomic's order and Galois-twist tests start from",
-    "prime_divisors": "the relevant primes of each group in test_acceptance's criterion 4",
-    "Character.is_trivial": "test_groups checks that chi * chi.inverse() and trivial_character() are trivial",
-    "MultChar.inverse": "the inverse character's index in test_cyclotomic's test_multchar_basics",
-    "FieldContext.elements": "the elements of F_q that test_padic's Teichmuller-lift tests run over",
-    "DivisorSpec.zero": "the zero divisor of test_acceptance's criterion 6, the Riemann-Roch totals",
 }
 
 # methods whose name another class also defines, each with a line of program
@@ -45,11 +40,8 @@ SHARED_READERS = {
     "CoverDatum.characters": ("src/epschar/euler.py", "chars = cover.characters()"),
     "EpsilonLedger.describe": ("src/epschar/cli.py", "first.describe()"),
     "VerificationReport.describe": ("src/epschar/cli.py", "rep.describe()"),
-    "Subgroup.elements": ("src/epschar/verify.py", "for g in group.elements():"),
     "RationalFunctionDivisor.function_label": ("src/epschar/covers.py", "self.divisor.function_label()"),
     "CoverDatum.function_label": ("src/epschar/covers.py", 'f=%s" % self.function_label'),
-    "Character.inverse": ("src/epschar/covers.py", "xi.inverse()"),
-    "MultChar.is_trivial": ("src/epschar/cyclotomic.py", "if chi.is_trivial:"),
     "FieldContext.mul": ("perfbench/tracer.py", '"fields.FieldContext.mul"'),
     "Subgroup.mul": ("src/epschar/groups.py", "step = root.mul(step, g)"),
     "Subgroup.order": ("src/epschar/covers.py", "return self.inertia.order"),
@@ -58,7 +50,6 @@ SHARED_READERS = {
     "TameLocalDatum.q": ("src/epschar/stickelberger.py", "% (datum.q - 1)"),
     "DivisorSpec.value": ("src/epschar/euler.py", "lm_decompose(q, D.value(q))"),
     "Character.value": ("src/epschar/groups.py", "chi.value(generator) == target"),
-    "K0Element.zero": ("src/epschar/euler.py", "K0Element.zero(cover.group"),
 }
 
 
@@ -101,11 +92,11 @@ def _is_module(node):
     return name in MODULES
 
 
-def _name_counts():
-    """Reads of each name as a module-level def, and as a method or property."""
-    names, member_names = _tracer_names()
-    counts, members = collections.Counter(names), collections.Counter(member_names)
-    for top in SEARCHED:
+def _reads(tops):
+    """Reads of each name as a module-level def, and as a method or property,
+    in the Python files under the given folders of the repository."""
+    counts, members = collections.Counter(), collections.Counter()
+    for top in tops:
         for path in (ROOT / top).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Name):
@@ -117,6 +108,15 @@ def _name_counts():
                         members[node.attr] += 1
                 elif isinstance(node, ast.alias):
                     counts.update(node.name.split("."))
+    return counts, members
+
+
+def _name_counts():
+    """Reads in program code and through the tracer's strings."""
+    names, member_names = _tracer_names()
+    counts, members = _reads(SEARCHED)
+    counts.update(names)
+    members.update(member_names)
     return counts, members
 
 
@@ -146,6 +146,13 @@ def test_the_allowlist_names_existing_definitions():
     qualified = {q for q, _, _ in _definitions()}
     assert set(ALLOWED) <= qualified
     assert set(SHARED_READERS) <= qualified
+
+
+def test_each_allowed_definition_is_read_by_a_test():
+    counts, members = _reads(("tests",))
+    for qualified in ALLOWED:
+        owner, _, name = qualified.rpartition(".")
+        assert (members if owner else counts)[name], qualified
 
 
 def test_each_shared_method_has_its_quoted_reader():

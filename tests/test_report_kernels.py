@@ -159,7 +159,7 @@ def test_decomposition_map_is_the_per_character_rule_on_both_corpora():
         for sub in _cyclic_subgroups(cover.group):
             elements += [restrict(e_elt, sub), restrict(regular, sub)]
         for x in elements:
-            got, want = decomposition_map(x, p), _decomposition_by_character(x, p)
+            got, want = decomposition_map(x), _decomposition_by_character(x, p)
             assert got == want, cover.summary()
             assert _shown(got) == _shown(want), cover.summary()
             checked += 1
@@ -173,23 +173,22 @@ def test_decomposition_map_labels_follow_each_group_object():
     by_two, by_ten = root.subgroup([(2,)]), root.subgroup([(10,)])
     assert by_two == by_ten and by_two.generators != by_ten.generators
     for group in (by_two, by_ten, by_two):
-        x = K0Element(group, LEVEL_CHAR0, {chi: i + 1 for i, chi in enumerate(group.characters())})
-        got = decomposition_map(x, 2)
+        x = K0Element(group, LEVEL_CHAR0, {chi: i + 1 for i, chi in enumerate(group.characters())}, 2)
+        got = decomposition_map(x)
         assert _shown(got) == _shown(_decomposition_by_character(x, 2))
         assert {char_label(chi) for chi in got.coeffs} == \
             {char_label(chi) for chi in group.characters() if chi.order % 2}
     # labels over an equal group object take the per-character rule
-    x = K0Element(by_two, LEVEL_CHAR0, {chi: 1 for chi in by_ten.characters()})
-    got = decomposition_map(x, 3)
+    x = K0Element(by_two, LEVEL_CHAR0, {chi: 1 for chi in by_ten.characters()}, 3)
+    got = decomposition_map(x)
     assert _shown(got) == _shown(_decomposition_by_character(x, 3))
     assert all(chi.domain is by_ten for chi in got.coeffs)
 
 
 def test_decomposition_map_memo_lives_on_the_group_object():
     group = AbelianGroup((2, 6))
-    x = K0Element(group, LEVEL_CHAR0, {chi: 1 for chi in group.characters()})
-    decomposition_map(x, 2)
-    decomposition_map(x, 3)
+    for p in (2, 3):
+        decomposition_map(K0Element(group, LEVEL_CHAR0, {chi: 1 for chi in group.characters()}, p))
     assert sorted(group._reductions) == [2, 3]
     assert group.full_subgroup()._reductions == {}
 

@@ -8,7 +8,6 @@ from epschar.fields import PrimePower
 from epschar.stickelberger import (
     TameLocalDatum,
     c_from_d,
-    composition_exponent,
     d_from_c,
     digit_sum_valuation,
     minimal_power_clearing_wild,
@@ -43,18 +42,18 @@ def test_minimal_power_clearing_wild():
 def test_composition_exponent_tame_case():
     # e_w = 1: the exponent is just (q-1)/e_t
     datum = TameLocalDatum(PrimePower(3, 2), 8)
-    assert composition_exponent(datum) == 1
+    assert datum.composition_exponent == 1
     datum = TameLocalDatum(PrimePower(5, 1), 2)
-    assert composition_exponent(datum) == 2
+    assert datum.composition_exponent == 2
 
 
 def test_composition_exponent_wild_case():
     # q = 3, e_t = 2, e_w = 3: N = 1 and the wild unit is 3/3 = 1
     datum = TameLocalDatum(PrimePower(3, 1), 2, 3)
-    assert composition_exponent(datum) == 1
+    assert datum.composition_exponent == 1
     # q = 9, e_t = 8, e_w = 3: N = 1 and the unit is 9/3 = 3
     datum = TameLocalDatum(PrimePower(3, 2), 8, 3)
-    assert composition_exponent(datum) == 3 % 8
+    assert datum.composition_exponent == 3 % 8
 
 
 def test_c_d_round_trip():

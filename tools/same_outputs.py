@@ -15,6 +15,9 @@ on:
     data with conductor overrides: Z/3 over F_3 with conductor 3, Z/6 with
     a tame place and a wild one, and Z/6 with all of it as inertia, whose
     characters nontrivial on both parts exit 3;
+  - the same five commands in json format on --input files holding two
+    bodies that exit 2: a decomposition group whose quotient by inertia
+    is not cyclic, and weak wild inertia Z/4 over F_2;
   - corpus --count 7 --seed 3 in both formats;
   - gauss --p P --r R --char C in both formats, for P in 2, 3, 5, 7,
     R in 1-3 and eight indices C, 0 and negative ones among them.
@@ -24,7 +27,7 @@ status, stdout and stderr go into the digest, and so does the text of
 each input file.  Two checkouts give the same outputs when they print
 the same line:
 
-  python tools/same_outputs.py           # 1039 calls, about 6 s
+  python tools/same_outputs.py           # 1049 calls, about 6 s
   python tools/same_outputs.py --quick   # the first cover of each group, no gauss
 
 It prints "calls=N nonzero=K sha256=HEX", K counting calls whose exit
@@ -49,6 +52,16 @@ from epschar.groups import AbelianGroup  # noqa: E402
 from workloads import CORPUS_DSL  # noqa: E402
 
 GAUSS_CHARS = (0, 1, 2, 3, 5, 7, -1, 100)
+
+# local groups that no curve has, refused by validate_cover
+REFUSED_BODIES = [
+    '{"kind":"synthetic","group":[2,2,2],"p":3,"r":1,"g_base":0,"weakly_ramified":true,'
+    '"places":[{"label":"a","degree":2,"inertia":[[1,0,0]],"decomposition":[[1,0,0],[0,1,0],[0,0,1]],'
+    '"tame_char":[[[1,0,0],[1,2]]]},{"label":"b","degree":2,"inertia":[[1,0,0]],"decomposition":[[1,0,0]],'
+    '"tame_char":[[[1,0,0],[1,2]]]}]}',
+    '{"kind":"synthetic","group":[4],"p":2,"r":1,"g_base":0,"weakly_ramified":true,'
+    '"places":[{"label":"a","degree":1,"inertia":[[1]],"decomposition":[[1]],"tame_char":[[[1],[0,1]]]}]}',
+]
 
 REPORTS = [
     ["verify-all"],
@@ -100,13 +113,14 @@ def _calls(folder, quick):
         specs, covers = [CORPUS_DSL[0], "mixed", "synthetic:seed=1,index=0"], covers[:1]
     argvs = [cmd + ["--builtin", spec, "--format", fmt]
              for spec in specs for cmd in REPORTS for fmt in ("table", "json")]
-    named = [("cover%02d.json" % i, cover) for i, cover in enumerate(covers)]
+    named = [("cover%02d.json" % i, cover_to_json(cover)) for i, cover in enumerate(covers)]
     if not quick:
-        named += [("overridden%d.json" % i, cover) for i, cover in enumerate(_overridden_covers())]
-    for name, cover in named:
+        named += [("overridden%d.json" % i, cover_to_json(cover)) for i, cover in enumerate(_overridden_covers())]
+        named += [("refused%d.json" % i, body) for i, body in enumerate(REFUSED_BODIES)]
+    for name, text in named:
         path = os.path.join(folder, name)
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(cover_to_json(cover))
+            handle.write(text)
         argvs += [cmd + ["--input", path, "--format", "json"] for cmd in REPORTS]
     argvs += [["corpus", "--count", "7", "--seed", "3", "--format", fmt] for fmt in ("table", "json")]
     if not quick:
